@@ -259,16 +259,23 @@ int main() {
     // contract makes the bounded search's signals bit-identical to the
     // cold search's — checked per app — while probe bisections clamp
     // against the derived lower bounds and book their savings in
-    // EvalStats::trials_skipped_by_bounds. Gates: identical signals on
-    // 9/9 apps, skipped trials > 0 on >= 7 of 9.
+    // EvalStats::trials_skipped_by_bounds. Gates: exactly nine app rows,
+    // identical signals and no more program runs on every app, skipped
+    // trials > 0 on >= 7 of 9. Reported, not gated: the wall time of a
+    // chained three-epsilon sweep on fresh engines, bounded and cold —
+    // the engine keeps each input set's bound basis, so the bounded sweep
+    // pays the analysis once per set rather than once per epsilon.
     std::printf("\n# static bounds — cold single-epsilon search, "
                 "derive_warm_start vs unassisted (epsilon %g)\n\n",
                 tp::bench::kEpsilons.front());
-    std::printf("%-8s %-9s %-9s %-9s %-9s %-8s %s\n", "app", "cold_tr",
-                "stat_tr", "cold_rn", "stat_rn", "skipped", "identical");
+    std::printf("%-8s %-9s %-9s %-9s %-9s %-8s %-9s %-10s %-10s %-10s %s\n",
+                "app", "cold_tr", "stat_tr", "cold_rn", "stat_rn", "skipped",
+                "identical", "cold_s", "static_s", "cold_swp_s", "stat_swp_s");
 
     int apps_with_skips = 0;
+    int static_rows = 0;
     bool all_static_identical = true;
+    bool all_static_runs_le_cold = true;
     auto static_json = tp::bench::Json::array();
     for (const std::string& app_name : tp::apps::app_names()) {
         auto app = tp::apps::make_app(app_name);
@@ -302,13 +309,33 @@ int main() {
                            cold.signals[i].bound == bounded.signals[i].bound;
         }
         all_static_identical = all_static_identical && same_signals;
+        if (bounded.program_runs > cold.program_runs) {
+            all_static_runs_le_cold = false;
+        }
         if (bounded_stats.trials_skipped_by_bounds > 0) ++apps_with_skips;
+        ++static_rows;
 
-        std::printf("%-8s %-9zu %-9zu %-9zu %-9zu %-8zu %s\n",
+        const auto sweep_seconds = [&](bool static_bounds) {
+            auto sweep_base = base;
+            sweep_base.static_bounds = static_bounds;
+            tp::tuning::EvalEngine engine{
+                *app,
+                tp::tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
+            const auto start = Clock::now();
+            (void)tp::tuning::sweep_search(engine, sweep_base,
+                                           tp::bench::kEpsilons, true);
+            return seconds_since(start);
+        };
+        const double cold_sweep_seconds = sweep_seconds(false);
+        const double static_sweep_seconds = sweep_seconds(true);
+
+        std::printf("%-8s %-9zu %-9zu %-9zu %-9zu %-8zu %-9s %-10.3f %-10.3f "
+                    "%-10.3f %.3f\n",
                     app_name.c_str(), cold_stats.trials, bounded_stats.trials,
                     cold.program_runs, bounded.program_runs,
                     bounded_stats.trials_skipped_by_bounds,
-                    same_signals ? "yes" : "NO");
+                    same_signals ? "yes" : "NO", cold_seconds, bounded_seconds,
+                    cold_sweep_seconds, static_sweep_seconds);
 
         static_json.item_raw(
             tp::bench::Json::object()
@@ -321,6 +348,8 @@ int main() {
                        bounded_stats.trials_skipped_by_bounds)
                 .field("cold_wall_seconds", cold_seconds)
                 .field("static_wall_seconds", bounded_seconds)
+                .field("cold_sweep_wall_seconds", cold_sweep_seconds)
+                .field("static_sweep_wall_seconds", static_sweep_seconds)
                 .field("identical_signals", same_signals)
                 .str(2));
     }
@@ -517,6 +546,15 @@ int main() {
     }
     if (!all_static_identical) {
         std::printf("FAIL: a static-bounds search changed the tuned signals\n");
+        return 1;
+    }
+    if (static_rows != 9) {
+        std::printf("FAIL: static bounds section has %d app rows (expected "
+                    "9)\n", static_rows);
+        return 1;
+    }
+    if (!all_static_runs_le_cold) {
+        std::printf("FAIL: static bounds increased program runs\n");
         return 1;
     }
     if (!static_skips_gate) {

@@ -11,6 +11,7 @@
 #include "analysis/error_model.hpp"
 #include "analysis/region_impact.hpp"
 #include "sim/context.hpp"
+#include "tuning/eval_engine.hpp"
 #include "tuning/quality.hpp"
 #include "types/encoding.hpp"
 
@@ -67,6 +68,114 @@ void merge_range(StaticRange& into, const StaticRange& from) {
     into.exp_floor_bits = std::max(into.exp_floor_bits, from.exp_floor_bits);
 }
 
+/// One input set's capture and the passes over it that every consumer
+/// shares.
+struct SetCapture {
+    CapturedTrace capture;
+    SignalFlowGraph flow;
+    ErrorModel model;
+};
+
+SetCapture capture_set(apps::App& app, unsigned input_set) {
+    SetCapture sc;
+    sc.capture = capture_trace(app, input_set);
+    sc.flow = build_signal_flow(sc.capture.program,
+                                app.signal_table().size());
+    sc.model = build_error_model(sc.capture.program, sc.flow);
+    return sc;
+}
+
+BoundsBasis basis_from_capture(apps::App& app, unsigned input_set,
+                               const CapturedTrace& capture,
+                               const ErrorModel& model,
+                               const std::vector<double>& golden) {
+    const std::size_t S = app.signal_table().size();
+    BoundsBasis basis;
+    basis.golden_norm = l2_norm(golden);
+    const double den = basis.golden_norm;
+
+    // Map each tap to its golden output element. Every raw() read lands
+    // in the program output in call order (all kernels build their
+    // output exclusively from raw() reads, possibly interleaved with
+    // untapped register readouts), so a forward scan over the shadow
+    // output — which the taps match bit-for-bit, being the very values
+    // read — recovers each tap's output index.
+    basis.tapped_golden.assign(S, {});
+    basis.var_total.assign(S, 0.0);
+    std::size_t k = 0;
+    for (const sim::OutputTap& tap : capture.program.output_taps) {
+        double g = tap.value;
+        while (k < capture.output.size() && capture.output[k] != tap.value) {
+            ++k;
+        }
+        if (k < capture.output.size() && k < golden.size()) {
+            g = golden[k];
+            ++k;
+        }
+        const std::int32_t sig = signal_of_tag(tap.fmt, S);
+        if (sig >= 0) {
+            basis.tapped_golden[static_cast<std::size_t>(sig)].push_back(g);
+        }
+        if (tap.value_id >= 0) {
+            const std::span<const double> row = model.var_row(tap.value_id);
+            for (std::size_t s = 0; s < S; ++s) basis.var_total[s] += row[s];
+        } else if (sig >= 0) {
+            // set_raw-only element: its only error is the storage
+            // quantization in the array's own signal format.
+            basis.var_total[static_cast<std::size_t>(sig)] +=
+                tap.value * tap.value / 3.0;
+        }
+    }
+
+    // Calibrate the variance model against one real rounded execution.
+    // First-order propagation over-shoots grossly through feedback
+    // recursions (IIR state loops compound partials over the whole
+    // sample stream, inflating coefficients by orders of magnitude no
+    // fixed margin can absorb). The staircase probe measures the
+    // model's prediction at a real operating point; dividing every
+    // coefficient by the over-prediction factor pins the model to
+    // observed behaviour. Deflation never raises a bound, so the
+    // min-over-sets identity contract is untouched. When the probe is
+    // unavailable (> 22 signals) or shows no error at all while the
+    // model predicts some, the heuristic half is dropped entirely and
+    // the rigorous floor stands alone.
+    if (S <= 22 && den > 0.0) {
+        const apps::TypeConfig probe = staircase_config(S);
+        app.prepare(input_set);
+        sim::TpContext probe_ctx{sim::TpContext::Config{.trace = false}};
+        const std::vector<double> probe_out = app.run(probe_ctx, probe);
+        double pred2 = 0.0;
+        for (std::size_t s = 0; s < S; ++s) {
+            const double u = std::ldexp(
+                1.0,
+                -(static_cast<int>(
+                      probe[static_cast<apps::SignalId>(s)].mant_bits) +
+                  1));
+            pred2 += basis.var_total[s] * u * u;
+        }
+        const double predicted = std::sqrt(pred2) / den;
+        const double actual = tuning::output_error(golden, probe_out);
+        if (!std::isfinite(actual) || actual <= 0.0) {
+            basis.drop_model = predicted > 0.0;
+        } else if (predicted > actual) {
+            basis.deflate = predicted / actual;
+        }
+    } else {
+        basis.drop_model = true;
+    }
+    return basis;
+}
+
+tuning::WarmStart warm_start_of(const std::vector<SignalBound>& bounds) {
+    tuning::WarmStart warm;
+    warm.seed_bits.assign(bounds.size(), kMaxPrecisionBits);
+    warm.lower_bounds.reserve(bounds.size());
+    for (const SignalBound& sb : bounds) {
+        warm.lower_bounds.push_back(sb.lower_bits);
+    }
+    return warm;
+}
+
 } // namespace
 
 std::string AppAnalysis::to_string() const {
@@ -82,128 +191,34 @@ std::string AppAnalysis::to_string() const {
     return std::move(os).str();
 }
 
-AppAnalysis analyze(apps::App& app, double epsilon,
-                    const DeriveOptions& options) {
-    const std::size_t S = app.signal_table().size();
-    AppAnalysis result;
-    result.app = std::string(app.name());
-    result.epsilon = epsilon;
-    result.signals.assign(S, SignalBound{});
-    result.ranges.assign(S, StaticRange{});
-    for (std::size_t s = 0; s < S; ++s) {
-        result.signals[s].name =
-            app.signal_table().name(static_cast<apps::SignalId>(s));
-    }
+BoundsBasis build_bounds_basis(apps::App& app, unsigned input_set,
+                               const std::vector<double>& golden) {
+    const SetCapture sc = capture_set(app, input_set);
+    return basis_from_capture(app, input_set, sc.capture, sc.model, golden);
+}
 
+std::vector<SignalBound> invert_bounds(
+    const apps::SignalTable& table,
+    const std::vector<std::shared_ptr<const BoundsBasis>>& bases,
+    double epsilon, TypeSystem type_system, int margin_bits) {
+    const std::size_t S = table.size();
     const double quality_budget = std::sqrt(epsilon);
     constexpr int kUnset = kMaxPrecisionBits + 1;
     std::vector<int> best_bound(S, kUnset);
     std::vector<int> best_floor(S, kUnset);
     std::vector<int> best_model(S, kUnset);
     std::vector<double> worst_coeff(S, 0.0);
-    std::vector<SignalObservation> merged_obs(S);
-    std::set<std::array<std::int32_t, 3>> cast_chains;
-    std::vector<CastSite> cast_sites;
-    bool first = true;
 
-    for (const unsigned set : options.input_sets) {
-        const CapturedTrace capture = capture_trace(app, set);
-        const SignalFlowGraph flow = build_signal_flow(capture.program, S);
-        const ErrorModel model = build_error_model(capture.program, flow);
-        const std::vector<double> golden = app.golden(set);
-        const double den = l2_norm(golden);
-
-        for (std::size_t s = 0; s < S; ++s) {
-            merge_observation(merged_obs[s], model.observed[s]);
-        }
-        {
-            std::vector<StaticRange> ranges = static_signal_ranges_at_uniform(
-                model, flow, kMaxPrecisionBits, options.range_inflation);
-            for (std::size_t s = 0; s < S; ++s) {
-                merge_range(result.ranges[s], ranges[s]);
-            }
-        }
-
-        // Map each tap to its golden output element. Every raw() read lands
-        // in the program output in call order (all kernels build their
-        // output exclusively from raw() reads, possibly interleaved with
-        // untapped register readouts), so a forward scan over the shadow
-        // output — which the taps match bit-for-bit, being the very values
-        // read — recovers each tap's output index.
-        std::vector<std::vector<double>> tapped_golden(S);
-        std::vector<double> var_total(S, 0.0);
-        std::size_t k = 0;
-        for (const sim::OutputTap& tap : capture.program.output_taps) {
-            double g = tap.value;
-            while (k < capture.output.size() && capture.output[k] != tap.value) {
-                ++k;
-            }
-            if (k < capture.output.size() && k < golden.size()) {
-                g = golden[k];
-                ++k;
-            }
-            const std::int32_t sig = signal_of_tag(tap.fmt, S);
-            if (sig >= 0) {
-                tapped_golden[static_cast<std::size_t>(sig)].push_back(g);
-            }
-            if (tap.value_id >= 0) {
-                const std::span<const double> row = model.var_row(tap.value_id);
-                for (std::size_t s = 0; s < S; ++s) var_total[s] += row[s];
-            } else if (sig >= 0) {
-                // set_raw-only element: its only error is the storage
-                // quantization in the array's own signal format.
-                var_total[static_cast<std::size_t>(sig)] +=
-                    tap.value * tap.value / 3.0;
-            }
-        }
-
-        // Calibrate the variance model against one real rounded execution.
-        // First-order propagation over-shoots grossly through feedback
-        // recursions (IIR state loops compound partials over the whole
-        // sample stream, inflating coefficients by orders of magnitude no
-        // fixed margin can absorb). The staircase probe measures the
-        // model's prediction at a real operating point; dividing every
-        // coefficient by the over-prediction factor pins the model to
-        // observed behaviour. Deflation never raises a bound, so the
-        // min-over-sets identity contract is untouched. When the probe is
-        // unavailable (> 22 signals) or shows no error at all while the
-        // model predicts some, the heuristic half is dropped entirely and
-        // the rigorous floor stands alone.
-        double deflate = 1.0;
-        bool drop_model = false;
-        if (S <= 22 && den > 0.0) {
-            const apps::TypeConfig probe = staircase_config(S);
-            app.prepare(set);
-            sim::TpContext probe_ctx{sim::TpContext::Config{.trace = false}};
-            const std::vector<double> probe_out = app.run(probe_ctx, probe);
-            double pred2 = 0.0;
-            for (std::size_t s = 0; s < S; ++s) {
-                const double u = std::ldexp(
-                    1.0,
-                    -(static_cast<int>(
-                          probe[static_cast<apps::SignalId>(s)].mant_bits) +
-                      1));
-                pred2 += var_total[s] * u * u;
-            }
-            const double predicted = std::sqrt(pred2) / den;
-            const double actual = tuning::output_error(golden, probe_out);
-            if (!std::isfinite(actual) || actual <= 0.0) {
-                drop_model = predicted > 0.0;
-            } else if (predicted > actual) {
-                deflate = predicted / actual;
-            }
-        } else {
-            drop_model = true;
-        }
-
+    for (const std::shared_ptr<const BoundsBasis>& basis : bases) {
+        const double den = basis->golden_norm;
         for (std::size_t s = 0; s < S; ++s) {
             int floor_p = kMinPrecisionBits;
-            if (den > 0.0 && !tapped_golden[s].empty()) {
+            if (den > 0.0 && !basis->tapped_golden[s].empty()) {
                 int p = kMinPrecisionBits;
                 for (; p < kMaxPrecisionBits; ++p) {
-                    const FpFormat fmt = options.type_system.trial_format(p);
+                    const FpFormat fmt = type_system.trial_format(p);
                     double err2 = 0.0;
-                    for (const double g : tapped_golden[s]) {
+                    for (const double g : basis->tapped_golden[s]) {
                         const double d = representability_distance(g, fmt);
                         err2 += d * d;
                     }
@@ -213,15 +228,15 @@ AppAnalysis analyze(apps::App& app, double epsilon,
             }
 
             const double coeff =
-                den > 0.0 && !drop_model
-                    ? std::sqrt(var_total[s]) / den / deflate
+                den > 0.0 && !basis->drop_model
+                    ? std::sqrt(basis->var_total[s]) / den / basis->deflate
                     : 0.0;
             int model_p = kMinPrecisionBits;
             if (coeff > 0.0 && quality_budget > 0.0) {
                 model_p = clamp_bits(
                     static_cast<int>(
                         std::ceil(std::log2(coeff / quality_budget))) -
-                    options.margin_bits);
+                    margin_bits);
             }
             best_floor[s] = std::min(best_floor[s], floor_p);
             best_model[s] = std::min(best_model[s], model_p);
@@ -229,17 +244,65 @@ AppAnalysis analyze(apps::App& app, double epsilon,
                 std::min(best_bound[s], std::max(floor_p, model_p));
             worst_coeff[s] = std::max(worst_coeff[s], coeff);
         }
+    }
+
+    std::vector<SignalBound> bounds(S);
+    for (std::size_t s = 0; s < S; ++s) {
+        SignalBound& sb = bounds[s];
+        sb.name = table.name(static_cast<apps::SignalId>(s));
+        sb.lower_bits = best_bound[s] == kUnset ? kMinPrecisionBits
+                                                : clamp_bits(best_bound[s]);
+        sb.representability_floor =
+            best_floor[s] == kUnset ? kMinPrecisionBits : best_floor[s];
+        sb.model_bits =
+            best_model[s] == kUnset ? kMinPrecisionBits : best_model[s];
+        sb.error_coefficient = worst_coeff[s];
+    }
+    return bounds;
+}
+
+AppAnalysis analyze(apps::App& app, double epsilon,
+                    const DeriveOptions& options) {
+    const std::size_t S = app.signal_table().size();
+    AppAnalysis result;
+    result.app = std::string(app.name());
+    result.epsilon = epsilon;
+    result.ranges.assign(S, StaticRange{});
+
+    std::vector<std::shared_ptr<const BoundsBasis>> bases;
+    std::vector<SignalObservation> merged_obs(S);
+    std::set<std::array<std::int32_t, 3>> cast_chains;
+    std::vector<CastSite> cast_sites;
+    bool first = true;
+
+    for (const unsigned set : options.input_sets) {
+        const SetCapture sc = capture_set(app, set);
+        const std::vector<double> golden = app.golden(set);
+        bases.push_back(std::make_shared<const BoundsBasis>(
+            basis_from_capture(app, set, sc.capture, sc.model, golden)));
+
+        for (std::size_t s = 0; s < S; ++s) {
+            merge_observation(merged_obs[s], sc.model.observed[s]);
+        }
+        {
+            std::vector<StaticRange> ranges = static_signal_ranges_at_uniform(
+                sc.model, sc.flow, kMaxPrecisionBits, options.range_inflation);
+            for (std::size_t s = 0; s < S; ++s) {
+                merge_range(result.ranges[s], ranges[s]);
+            }
+        }
 
         if (first) {
-            result.flow = flow;
-            result.lint = lint_trace(capture.program);
-            cast_sites = collect_cast_sites(capture.program, S);
+            const sim::TraceProgram& program = sc.capture.program;
+            result.flow = sc.flow;
+            result.lint = lint_trace(program);
+            cast_sites = collect_cast_sites(program, S);
             // Signal-level cast chains for the structural double-rounding
             // hazard: value crosses three signals through back-to-back
             // casts.
             std::vector<std::pair<std::int32_t, std::int32_t>> cast_sigs(
-                capture.program.value_count, {-1, -1});
-            for (const sim::Instr& instr : capture.program.instrs) {
+                program.value_count, {-1, -1});
+            for (const sim::Instr& instr : program.instrs) {
                 if (instr.kind != sim::InstrKind::FpCast ||
                     instr.op == FpOp::FromInt || instr.op == FpOp::ToInt ||
                     instr.dst < 0) {
@@ -261,16 +324,10 @@ AppAnalysis analyze(apps::App& app, double epsilon,
         }
     }
 
+    result.signals = invert_bounds(app.signal_table(), bases, epsilon,
+                                   options.type_system, options.margin_bits);
     for (std::size_t s = 0; s < S; ++s) {
-        SignalBound& sb = result.signals[s];
-        sb.lower_bits = best_bound[s] == kUnset ? kMinPrecisionBits
-                                                : clamp_bits(best_bound[s]);
-        sb.representability_floor =
-            best_floor[s] == kUnset ? kMinPrecisionBits : best_floor[s];
-        sb.model_bits =
-            best_model[s] == kUnset ? kMinPrecisionBits : best_model[s];
-        sb.error_coefficient = worst_coeff[s];
-        sb.exp_floor_bits =
+        result.signals[s].exp_floor_bits =
             result.ranges[s].populated ? result.ranges[s].exp_floor_bits : 1;
     }
 
@@ -382,17 +439,30 @@ AppAnalysis analyze(apps::App& app, double epsilon,
 tuning::WarmStart derive_warm_start(apps::App& app, double epsilon,
                                     const std::vector<unsigned>& input_sets,
                                     TypeSystem type_system) {
-    DeriveOptions options;
-    options.input_sets = input_sets;
-    options.type_system = type_system;
-    const AppAnalysis analysis = analyze(app, epsilon, options);
-    tuning::WarmStart warm;
-    warm.seed_bits.assign(analysis.signals.size(), kMaxPrecisionBits);
-    warm.lower_bounds.reserve(analysis.signals.size());
-    for (const SignalBound& sb : analysis.signals) {
-        warm.lower_bounds.push_back(sb.lower_bits);
+    std::vector<std::shared_ptr<const BoundsBasis>> bases;
+    for (const unsigned set : input_sets) {
+        // Capture before the golden run, like analyze().
+        const SetCapture sc = capture_set(app, set);
+        const std::vector<double> golden = app.golden(set);
+        bases.push_back(std::make_shared<const BoundsBasis>(
+            basis_from_capture(app, set, sc.capture, sc.model, golden)));
     }
-    return warm;
+    return warm_start_of(invert_bounds(app.signal_table(), bases, epsilon,
+                                       type_system,
+                                       DeriveOptions{}.margin_bits));
+}
+
+tuning::WarmStart derive_warm_start(tuning::EvalEngine& engine, double epsilon,
+                                    const std::vector<unsigned>& input_sets,
+                                    TypeSystem type_system) {
+    std::vector<std::shared_ptr<const BoundsBasis>> bases;
+    bases.reserve(input_sets.size());
+    for (const unsigned set : input_sets) {
+        bases.push_back(engine.bounds_basis(set));
+    }
+    return warm_start_of(invert_bounds(engine.signal_table(), bases, epsilon,
+                                       type_system,
+                                       DeriveOptions{}.margin_bits));
 }
 
 } // namespace tp::analysis

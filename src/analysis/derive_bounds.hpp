@@ -21,6 +21,16 @@
 //     and DeriveOptions::margin_bits absorbs the residual non-linearity.
 //     Deflation only ever loosens the bound.
 //
+// The derivation splits in two. Everything above except the final
+// inversion is independent of epsilon: a BoundsBasis holds one input
+// set's capture-derived calibration (golden norm, tapped golden values,
+// per-signal variance totals, probe verdict). invert_bounds maps bases to
+// bounds for one epsilon and is cheap by comparison, so a caller serving
+// several epsilons — a chained sweep, a long-lived service engine — keeps
+// the bases (tuning::EvalEngine::bounds_basis memoizes one per input set)
+// and pays only the inversion per request. analyze() and both
+// derive_warm_start overloads go through the same two steps.
+//
 // The final lower bound is the MINIMUM over input sets. That direction is
 // what keeps the bound invisible to the search result: the greedy phase
 // probes each input set separately, so a bound must stay at or below
@@ -31,6 +41,7 @@
 // trials_skipped_by_bounds), it never changes tuned signals.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,6 +51,10 @@
 #include "apps/app.hpp"
 #include "tuning/search.hpp"
 #include "types/type_system.hpp"
+
+namespace tp::tuning {
+class EvalEngine;
+} // namespace tp::tuning
 
 namespace tp::analysis {
 
@@ -89,19 +104,62 @@ struct AppAnalysis {
     [[nodiscard]] std::string to_string() const;
 };
 
-/// The full three-pass analysis. Costs |input_sets| shadow executions
-/// plus |input_sets| rounded calibration probes and no tuning trials;
-/// `app`'s prepared workload is clobbered.
+/// The epsilon-free part of one input set's bound derivation.
+struct BoundsBasis {
+    /// L2 norm of the golden output: the quality metric's denominator.
+    double golden_norm = 0.0;
+    /// Per signal, the golden output elements its output taps land on
+    /// (the representability floor's sample).
+    std::vector<std::vector<double>> tapped_golden;
+    /// Per signal, the propagated output variance summed over the taps:
+    /// the squared relative-error coefficient times golden_norm^2.
+    std::vector<double> var_total;
+    /// The model's over-prediction factor measured by the staircase probe
+    /// (>= 1; every model coefficient is divided by it).
+    double deflate = 1.0;
+    /// The probe could not calibrate the model (unavailable, or no error
+    /// observed where some was predicted): the floor stands alone.
+    bool drop_model = false;
+};
+
+/// One shadow capture, error model and staircase probe of `app` on
+/// `input_set`, calibrated against `golden` (the set's binary64 reference
+/// output). No tuning trials; `app`'s prepared workload is clobbered.
+[[nodiscard]] BoundsBasis build_bounds_basis(apps::App& app, unsigned input_set,
+                                             const std::vector<double>& golden);
+
+/// The epsilon-dependent inversion: per-signal bounds (named from
+/// `table`, SignalId order) as the MIN over `bases` of each set's
+/// max(representability floor, margin-deflated model bound). A pure
+/// function; no bases yields every signal at kMinPrecisionBits.
+/// exp_floor_bits is left at its default — ranges are analyze()'s.
+[[nodiscard]] std::vector<SignalBound> invert_bounds(
+    const apps::SignalTable& table,
+    const std::vector<std::shared_ptr<const BoundsBasis>>& bases,
+    double epsilon, TypeSystem type_system, int margin_bits);
+
+/// The full three-pass analysis. Costs |input_sets| shadow executions,
+/// |input_sets| golden runs and |input_sets| rounded calibration probes
+/// and no tuning trials; `app`'s prepared workload is clobbered.
 [[nodiscard]] AppAnalysis analyze(apps::App& app, double epsilon,
                                   const DeriveOptions& options = {});
 
-/// The analysis folded into a search warm start: neutral seeds (the
+/// The bounds alone, folded into a search warm start: neutral seeds (the
 /// search's usual kMaxPrecisionBits start), the derived lower bounds, no
 /// upper bounds. Plug into SearchOptions::warm_start — or let
 /// SearchOptions::static_bounds do it — to prune probe bisections on a
-/// cold, never-tuned app.
+/// cold, never-tuned app. Bounds-only: no ranges, flow graph or lint,
+/// but the same kernel runs as analyze().
 [[nodiscard]] tuning::WarmStart derive_warm_start(
     apps::App& app, double epsilon, const std::vector<unsigned>& input_sets,
+    TypeSystem type_system = TypeSystem{TypeSystemKind::V2});
+
+/// The same warm start from `engine`'s memoized bases
+/// (EvalEngine::bounds_basis): the first request for an input set builds
+/// its basis, every later one — any epsilon — pays only the inversion.
+[[nodiscard]] tuning::WarmStart derive_warm_start(
+    tuning::EvalEngine& engine, double epsilon,
+    const std::vector<unsigned>& input_sets,
     TypeSystem type_system = TypeSystem{TypeSystemKind::V2});
 
 } // namespace tp::analysis

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "analysis/derive_bounds.hpp"
 #include "analysis/region_impact.hpp"
 #include "analysis/signal_flow.hpp"
 #include "flexfloat/arith_backend.hpp"
@@ -122,6 +123,45 @@ sim::RegionReport delta_simulate(const sim::TraceProgram& program,
     }
     result.report = assemble_regions(program, result.regions, model, core);
     return result;
+}
+
+/// Per-input-set single-flight memo for the engine's pinned analysis
+/// products: the first requester of `input_set` runs `build` outside the
+/// lock, concurrent requesters wait on its shared future, later ones read
+/// the pinned value. A failed build is rethrown to its waiters and
+/// forgotten, so the next request retries.
+template <typename T, typename Build>
+std::shared_ptr<const T> single_flight_per_set(
+    std::mutex& mutex,
+    std::map<unsigned, std::shared_future<std::shared_ptr<const T>>>& memo,
+    unsigned input_set, Build build) {
+    std::promise<std::shared_ptr<const T>> promise;
+    std::shared_future<std::shared_ptr<const T>> future;
+    bool runner = false;
+    {
+        const std::lock_guard<std::mutex> lock{mutex};
+        const auto it = memo.find(input_set);
+        if (it != memo.end()) {
+            future = it->second;
+        } else {
+            future = promise.get_future().share();
+            memo.emplace(input_set, future);
+            runner = true;
+        }
+    }
+    if (!runner) return future.get();
+    try {
+        std::shared_ptr<const T> value = build();
+        promise.set_value(value);
+        return value;
+    } catch (...) {
+        {
+            const std::lock_guard<std::mutex> lock{mutex};
+            memo.erase(input_set);
+        }
+        promise.set_exception(std::current_exception());
+        throw;
+    }
 }
 
 /// The stack of EvalStatsScopes alive on this thread. Thread-local, so
@@ -341,39 +381,43 @@ sim::RunReport EvalEngine::report_delta(unsigned input_set,
 
 std::shared_ptr<const analysis::RegionImpactMap> EvalEngine::impact_for(
     unsigned input_set) {
-    std::promise<std::shared_ptr<const analysis::RegionImpactMap>> promise;
-    std::shared_future<std::shared_ptr<const analysis::RegionImpactMap>> future;
-    bool runner = false;
-    {
-        const std::lock_guard<std::mutex> lock{impact_mutex_};
-        const auto it = impact_futures_.find(input_set);
-        if (it != impact_futures_.end()) {
-            future = it->second;
-        } else {
-            future = promise.get_future().share();
-            impact_futures_.emplace(input_set, future);
-            runner = true;
+    const auto build = [&] {
+        // One tagged shadow capture per (engine, input set) — an analysis
+        // run, not a trial: no counters move. Failures (e.g. more signals
+        // than tag formats) resolve to an empty, never-usable map rather
+        // than poisoning delta requests with exceptions.
+        auto map = std::make_shared<analysis::RegionImpactMap>();
+        try {
+            std::unique_ptr<apps::App> app = acquire_clone();
+            const analysis::CapturedTrace capture =
+                analysis::capture_trace(*app, input_set);
+            release_clone(std::move(app));
+            *map = analysis::build_region_impact(capture.program,
+                                                 capture.signal_count);
+        } catch (...) {
+            *map = analysis::RegionImpactMap{};
         }
-    }
-    if (!runner) return future.get();
+        return map;
+    };
+    return single_flight_per_set(analysis_mutex_, impact_futures_, input_set,
+                                 build);
+}
 
-    // One tagged shadow capture per (engine, input set) — an analysis
-    // run, not a trial: no counters move. Failures (e.g. more signals
-    // than tag formats) resolve to an empty, never-usable map rather
-    // than poisoning delta requests with exceptions.
-    auto map = std::make_shared<analysis::RegionImpactMap>();
-    try {
-        std::unique_ptr<apps::App> app = acquire_clone();
-        const analysis::CapturedTrace capture =
-            analysis::capture_trace(*app, input_set);
-        release_clone(std::move(app));
-        *map = analysis::build_region_impact(capture.program,
-                                             capture.signal_count);
-    } catch (...) {
-        *map = analysis::RegionImpactMap{};
-    }
-    promise.set_value(map);
-    return map;
+std::shared_ptr<const analysis::BoundsBasis> EvalEngine::bounds_basis(
+    unsigned input_set) {
+    const auto build = [&] {
+        const std::vector<double>& reference = golden(input_set);
+        // A fresh clone, not a pooled trial clone: the analysis clobbers
+        // the prepared workload, and keeping its runs off the trial clones
+        // lets an app decorator tell analysis runs (a clone whose first
+        // run is a shadow capture) from trials.
+        const std::unique_ptr<apps::App> app = master_->clone();
+        const arith::ScopedForceEmulated backend{force_emulated_};
+        return std::make_shared<const analysis::BoundsBasis>(
+            analysis::build_bounds_basis(*app, input_set, reference));
+    };
+    return single_flight_per_set(analysis_mutex_, basis_futures_, input_set,
+                                 build);
 }
 
 EvalEngine::CacheValue EvalEngine::execute(const CacheKey& key,

@@ -20,7 +20,9 @@
 //                      search (and across search phases, e.g. the
 //                      DistributedSearch base run inside cast_aware);
 //   * golden cache   — binary64 reference outputs per input set, pinned
-//                      for the engine's lifetime;
+//                      for the engine's lifetime, as are the per-set
+//                      static-analysis products built from one shadow
+//                      capture each (bound bases, region-impact maps);
 //   * trial cache    — (input_set, config) -> program output, and
 //                      (input_set, config, simd) -> sim::RunReport for
 //                      the platform-cost oracle, bounded by an LRU
@@ -61,6 +63,7 @@
 #include "util/thread_pool.hpp"
 
 namespace tp::analysis {
+struct BoundsBasis;
 struct RegionImpactMap;
 } // namespace tp::analysis
 
@@ -259,6 +262,16 @@ public:
                                 const apps::TypeConfig& base_config,
                                 const apps::TypeConfig& config, bool simd);
 
+    /// The epsilon-free basis of the static bound derivation for
+    /// `input_set` (analysis/derive_bounds.hpp): one shadow capture, error
+    /// model and staircase probe on a fresh prototype clone, calibrated
+    /// against the pinned golden(input_set). Built once per engine
+    /// lifetime (concurrent first requests are single-flighted) and pinned
+    /// like the goldens — clear_cache() keeps it. Not a trial: no counter
+    /// moves beyond the golden run, if that was not pinned yet.
+    [[nodiscard]] std::shared_ptr<const analysis::BoundsBasis> bounds_basis(
+        unsigned input_set);
+
     [[nodiscard]] EvalStats stats() const;
 
     /// Books `n` trials a warm start / feasibility bound made unnecessary
@@ -272,10 +285,11 @@ public:
     /// Options::cache_budget_bytes once an insertion completes.
     [[nodiscard]] std::size_t cache_bytes() const;
 
-    /// Drops every memoized trial output and report; goldens and counters
-    /// are kept. Safe to call concurrently with evaluations — readers
-    /// hold shared ownership of the values they are using, and in-flight
-    /// executions publish into the now-empty cache.
+    /// Drops every memoized trial output and report; goldens, the per-set
+    /// analysis products and counters are kept. Safe to call concurrently
+    /// with evaluations — readers hold shared ownership of the values they
+    /// are using, and in-flight executions publish into the now-empty
+    /// cache.
     void clear_cache();
 
 private:
@@ -375,13 +389,15 @@ private:
     std::list<CacheKey> lru_; // front = most recently used
     std::size_t cache_bytes_ = 0;
 
-    /// Region-impact maps per input set, single-flighted via shared
-    /// futures (separate mutex: building a map runs a kernel and must not
-    /// hold up the trial cache).
-    std::mutex impact_mutex_;
-    std::map<unsigned,
-             std::shared_future<std::shared_ptr<const analysis::RegionImpactMap>>>
-        impact_futures_;
+    /// Per-input-set analysis products, single-flighted via shared futures
+    /// (separate mutex: building one runs kernels and must not hold up the
+    /// trial cache).
+    template <typename T>
+    using PerSetMemo =
+        std::map<unsigned, std::shared_future<std::shared_ptr<const T>>>;
+    std::mutex analysis_mutex_;
+    PerSetMemo<analysis::RegionImpactMap> impact_futures_;
+    PerSetMemo<analysis::BoundsBasis> basis_futures_;
 
     mutable std::mutex stats_mutex_;
     EvalStats stats_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -29,6 +28,15 @@ struct ProbeResult {
 std::size_t bisect_depth(int lo, int hi) {
     if (hi <= lo) return 0;
     return std::bit_width(static_cast<unsigned>(hi - lo));
+}
+
+/// An empty input-set list would make every trial vacuous (and invert to
+/// all-kMinPrecisionBits static bounds): reject it before any work.
+void require_input_sets(const SearchOptions& options) {
+    if (options.input_sets.empty()) {
+        throw std::invalid_argument(
+            "SearchOptions::input_sets must not be empty");
+    }
 }
 
 class Searcher {
@@ -406,13 +414,14 @@ TuningResult distributed_search(apps::App& app, const SearchOptions& options) {
 }
 
 TuningResult distributed_search(EvalEngine& engine, const SearchOptions& options) {
+    require_input_sets(options);
     if (options.static_bounds) {
         // Resolve the flag into explicit warm-start lower bounds before the
-        // searcher sees the request: the analysis runs on a private clone
-        // (it clobbers the prepared workload) and costs no trials.
-        const std::unique_ptr<apps::App> app = engine.prototype().clone();
+        // searcher sees the request. The engine memoizes each input set's
+        // epsilon-free basis, so only the inversion runs per epsilon; no
+        // trials either way.
         const WarmStart derived = analysis::derive_warm_start(
-            *app, options.epsilon, options.input_sets, options.type_system);
+            engine, options.epsilon, options.input_sets, options.type_system);
         SearchOptions resolved = options;
         resolved.static_bounds = false;
         if (!resolved.warm_start) {
@@ -461,6 +470,7 @@ std::vector<TuningResult> sweep_search(EvalEngine& engine,
                                        const SearchOptions& base,
                                        const std::vector<double>& epsilons,
                                        bool warm_start_chain) {
+    require_input_sets(base);
     std::vector<TuningResult> results;
     results.reserve(epsilons.size());
     for (std::size_t e = 0; e < epsilons.size(); ++e) {

@@ -158,6 +158,8 @@ struct WarmStart {
 struct SearchOptions {
     double epsilon = 1e-1;                 // output-quality requirement
     TypeSystem type_system{TypeSystemKind::V2};
+    /// Input sets every trial verdict covers; must not be empty
+    /// (distributed_search and sweep_search throw std::invalid_argument).
     std::vector<unsigned> input_sets{0, 1, 2};
     int max_refinement_rounds = 64;
     int max_passes = 3; // greedy sweeps per input set
@@ -175,11 +177,14 @@ struct SearchOptions {
     /// (analysis/derive_bounds.hpp) before the first trial and fold its
     /// sound per-signal lower bounds into the warm start: seeds and upper
     /// bounds are untouched (added to warm_start's if one is set, where
-    /// lower bounds combine by max). Costs |input_sets| shadow reference
-    /// executions and no trials; by the analysis' soundness contract the
-    /// TuningResult's signals are bit-identical to the unbounded search's
-    /// — only program_runs shrinks, the pruned bisection steps showing up
-    /// in EvalStats::trials_skipped_by_bounds.
+    /// lower bounds combine by max). The epsilon-free part of the analysis
+    /// (one shadow reference execution and one calibration probe per input
+    /// set, EvalEngine::bounds_basis) runs once per engine and input set,
+    /// after which each epsilon pays only the inversion. No trials; by the
+    /// analysis' soundness contract the TuningResult's signals are
+    /// bit-identical to the unbounded search's — only program_runs
+    /// shrinks, the pruned bisection steps showing up in
+    /// EvalStats::trials_skipped_by_bounds.
     bool static_bounds = false;
 };
 

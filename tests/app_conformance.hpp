@@ -31,6 +31,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -494,6 +495,42 @@ TEST_P(AppConformanceTest, StaticAnalysisBoundsAreSound) {
     }
     EXPECT_LE(bounded.program_runs, cold.program_runs) << GetParam();
     EXPECT_EQ(cold_engine.stats().trials_skipped_by_bounds, 0u);
+}
+
+// One derivation path: the bounds an engine serves from its memoized
+// per-set bases (what static_bounds searches use) equal analyze()'s and
+// the app-level derive_warm_start's, at every epsilon of a sweep — one
+// engine per thread count serves all three, so the later epsilons are
+// inverted from bases built for the first.
+TEST_P(AppConformanceTest, EngineServedBoundsMatchAnalyze) {
+    const auto app = this->app();
+    const std::vector<unsigned> sets{0, 1, 2};
+    const TypeSystem type_system{TypeSystemKind::V2};
+    analysis::DeriveOptions derive_options;
+    derive_options.input_sets = sets;
+    derive_options.type_system = type_system;
+
+    tuning::EvalEngine serial{
+        *app, tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
+    tuning::EvalEngine pooled{
+        *app, tuning::EvalEngine::Options{.threads = 4, .memoize = true}};
+    for (const double epsilon : {1e-3, 1e-2, 1e-1}) {
+        const analysis::AppAnalysis analysis =
+            analysis::analyze(*app, epsilon, derive_options);
+        const tuning::WarmStart direct =
+            analysis::derive_warm_start(*app, epsilon, sets, type_system);
+        ASSERT_EQ(direct.lower_bounds.size(), analysis.signals.size());
+        for (std::size_t s = 0; s < analysis.signals.size(); ++s) {
+            EXPECT_EQ(direct.lower_bounds[s], analysis.signals[s].lower_bits)
+                << GetParam() << ": epsilon " << epsilon << " signal "
+                << analysis.signals[s].name;
+        }
+        for (tuning::EvalEngine* engine : {&serial, &pooled}) {
+            const tuning::WarmStart served = analysis::derive_warm_start(
+                *engine, epsilon, sets, type_system);
+            EXPECT_EQ(served, direct) << GetParam() << ": epsilon " << epsilon;
+        }
+    }
 }
 
 // --- delta-cost soundness ----------------------------------------------------

@@ -7,8 +7,12 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -382,6 +386,123 @@ TEST(DeriveBounds, WarmStartIsSoundAndPrunesTrials) {
     EXPECT_LE(bounded.program_runs, cold.program_runs);
     EXPECT_GT(bounded_engine.stats().trials_skipped_by_bounds, 0u);
     EXPECT_EQ(cold_engine.stats().trials_skipped_by_bounds, 0u);
+}
+
+/// Forwards to a real app and records, across the app and all its clones,
+/// the input set of every binary64 shadow run — one per static-analysis
+/// capture.
+class ShadowCountingApp final : public apps::App {
+public:
+    explicit ShadowCountingApp(std::unique_ptr<apps::App> inner)
+        : App(inner->signals()),
+          inner_(std::move(inner)),
+          ledger_(std::make_shared<Ledger>()) {}
+
+    [[nodiscard]] std::string_view name() const override {
+        return inner_->name();
+    }
+    [[nodiscard]] std::unique_ptr<App> clone() const override {
+        return std::unique_ptr<ShadowCountingApp>(new ShadowCountingApp(*this));
+    }
+    void prepare(unsigned input_set) override {
+        inner_->prepare(input_set);
+        input_set_ = input_set;
+    }
+    std::vector<double> run(sim::TpContext& ctx,
+                            const apps::TypeConfig& config) override {
+        if (ctx.shadow()) {
+            const std::lock_guard<std::mutex> lock{ledger_->mutex};
+            ledger_->captures.push_back(input_set_);
+        }
+        return inner_->run(ctx, config);
+    }
+
+    /// Input sets captured so far, in capture order.
+    [[nodiscard]] std::vector<unsigned> captures() const {
+        const std::lock_guard<std::mutex> lock{ledger_->mutex};
+        return ledger_->captures;
+    }
+
+private:
+    struct Ledger {
+        std::mutex mutex;
+        std::vector<unsigned> captures;
+    };
+
+    ShadowCountingApp(const ShadowCountingApp& other)
+        : App(other),
+          inner_(other.inner_->clone()),
+          ledger_(other.ledger_),
+          input_set_(other.input_set_) {}
+
+    std::unique_ptr<apps::App> inner_;
+    std::shared_ptr<Ledger> ledger_;
+    unsigned input_set_ = 0;
+};
+
+// The engine keeps each input set's epsilon-free bound basis for its
+// lifetime: a chained static-bounded sweep captures every set exactly
+// once, returns what the same chain returns on fresh engines, and a later
+// bounded search after clear_cache() captures nothing new.
+TEST(DeriveBounds, EngineCapturesEachInputSetOncePerLifetime) {
+    ShadowCountingApp app{apps::make_app("dwt")};
+    tuning::SearchOptions base;
+    base.input_sets = {0, 1, 2};
+    base.max_passes = 2;
+    base.static_bounds = true;
+    const std::vector<double> epsilons{1e-3, 1e-2, 1e-1};
+
+    tuning::EvalEngine engine{
+        app, tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
+    const std::vector<tuning::TuningResult> sweep =
+        tuning::sweep_search(engine, base, epsilons);
+    EXPECT_EQ(app.captures(), (std::vector<unsigned>{0, 1, 2}));
+
+    // The same chain, one bounded search per fresh engine.
+    const auto plain = apps::make_app("dwt");
+    ASSERT_EQ(sweep.size(), epsilons.size());
+    std::optional<tuning::WarmStart> seed;
+    for (std::size_t e = 0; e < epsilons.size(); ++e) {
+        tuning::SearchOptions options = base;
+        options.epsilon = epsilons[e];
+        options.warm_start = seed;
+        tuning::EvalEngine fresh{
+            *plain, tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
+        const tuning::TuningResult expected =
+            tuning::distributed_search(fresh, options);
+        EXPECT_TRUE(sweep[e] == expected) << "epsilon " << epsilons[e];
+        seed = tuning::warm_start_from(expected);
+    }
+
+    // Bases are pinned like the goldens: clearing the trial cache keeps
+    // them, and the result still equals a fresh engine's.
+    engine.clear_cache();
+    tuning::SearchOptions again = base;
+    again.epsilon = 1e-2;
+    const tuning::TuningResult after_clear =
+        tuning::distributed_search(engine, again);
+    EXPECT_EQ(app.captures(), (std::vector<unsigned>{0, 1, 2}));
+    tuning::EvalEngine fresh{
+        *plain, tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
+    EXPECT_TRUE(after_clear == tuning::distributed_search(fresh, again));
+}
+
+// Concurrent first requests for one set's basis share a single build.
+TEST(DeriveBounds, ConcurrentBasisRequestsAreSingleFlighted) {
+    ShadowCountingApp app{apps::make_app("dwt")};
+    tuning::EvalEngine engine{
+        app, tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
+    std::vector<std::shared_ptr<const analysis::BoundsBasis>> bases(4);
+    std::vector<std::thread> requesters;
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+        requesters.emplace_back([&, i] { bases[i] = engine.bounds_basis(1); });
+    }
+    for (std::thread& t : requesters) t.join();
+    for (const auto& basis : bases) {
+        ASSERT_NE(basis, nullptr);
+        EXPECT_EQ(basis, bases.front());
+    }
+    EXPECT_EQ(app.captures(), (std::vector<unsigned>{1}));
 }
 
 // --- cost regions (sim/platform.hpp) -----------------------------------------

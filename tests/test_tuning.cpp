@@ -1,11 +1,13 @@
 #include "tuning/search.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "apps/app.hpp"
 #include "tuning/config_io.hpp"
+#include "tuning/eval_engine.hpp"
 #include "tuning/quality.hpp"
 
 namespace {
@@ -336,6 +338,29 @@ TEST(Search, WarmStartIsValidatedAgainstTheSignalTable) {
     short_bounds.seed_bits.assign(n, 12);
     short_bounds.upper_bounds.assign(n - 1, 12); // bounds are all-or-none
     expect_rejected(short_bounds);
+}
+
+// An empty input-set list is rejected before any work: every trial
+// verdict would be vacuous, and static bounds would invert to an
+// all-kMinPrecisionBits warm start.
+TEST(Search, EmptyInputSetsAreRejected) {
+    auto app = tp::apps::make_app("dwt");
+    auto options = fast_options(1e-2, tp::TypeSystemKind::V2);
+    options.input_sets.clear();
+    tp::tuning::EvalEngine engine{
+        *app, tp::tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
+    for (const bool static_bounds : {false, true}) {
+        options.static_bounds = static_bounds;
+        EXPECT_THROW((void)distributed_search(engine, options),
+                     std::invalid_argument);
+        EXPECT_THROW((void)distributed_search(*app, options),
+                     std::invalid_argument);
+        EXPECT_THROW((void)sweep_search(engine, options, {1e-3, 1e-2}),
+                     std::invalid_argument);
+        EXPECT_THROW((void)sweep_search(*app, options, {1e-2}),
+                     std::invalid_argument);
+    }
+    EXPECT_EQ(engine.stats(), tp::tuning::EvalStats{});
 }
 
 // A warm start seeded from a result at the SAME requirement can only
