@@ -365,10 +365,12 @@ int main() {
     // same two-phase search on fresh memoized engines; the delta-cost
     // soundness contract makes the CastAwareResults bit-identical —
     // checked per app — while the recost/skip split records the removed
-    // work. Gates: identical results on 9/9 apps, region re-costs drop
-    // (regions_skipped_by_impact > 0) on >= 7 of 9 — an app whose whole
-    // trace is one unbroken vector window soundly degenerates to full
-    // recosting.
+    // work. Gates: exactly 9 app rows, identical results on 9/9 apps, per
+    // app delta re-costs + impact skips == full re-costs, the headline
+    // apps_with_region_skips equal to the rows with skips, and region
+    // re-costs drop (regions_skipped_by_impact > 0) on >= 7 of 9 — an app
+    // whose whole trace is one unbroken vector window soundly degenerates
+    // to full recosting.
     std::printf("\n# cast-aware delta costing — full recost vs "
                 "report_delta (epsilon %g)\n\n",
                 tp::bench::kEpsilons[1]);
@@ -377,6 +379,8 @@ int main() {
 
     int apps_with_region_skips = 0;
     bool all_delta_identical = true;
+    bool all_splits_cover_full = true;
+    std::vector<std::size_t> row_skips; // regions_skipped_by_impact per row
     auto delta_json = tp::bench::Json::array();
     for (const std::string& app_name : tp::apps::app_names()) {
         auto app = tp::apps::make_app(app_name);
@@ -420,6 +424,17 @@ int main() {
                     delta.eval_stats.regions_skipped_by_impact, full_seconds,
                     delta_seconds, matches ? "yes" : "NO");
 
+        // Every region the full path re-costs is either re-costed or
+        // skipped by the delta path — the split covers the full count.
+        if (delta.eval_stats.regions_recosted +
+                delta.eval_stats.regions_skipped_by_impact !=
+            full.eval_stats.regions_recosted) {
+            all_splits_cover_full = false;
+            std::printf("%s: recost/skip split does not cover the full count\n",
+                        app_name.c_str());
+        }
+        row_skips.push_back(delta.eval_stats.regions_skipped_by_impact);
+
         delta_json.item_raw(
             tp::bench::Json::object()
                 .field("app", app_name)
@@ -433,6 +448,9 @@ int main() {
                 .field("bit_identical", matches)
                 .str(2));
     }
+    const auto delta_rows = static_cast<int>(row_skips.size());
+    const auto apps_with_counted_skips = static_cast<int>(std::count_if(
+        row_skips.begin(), row_skips.end(), [](std::size_t n) { return n > 0; }));
     const bool delta_skips_gate = apps_with_region_skips >= 7;
     std::printf("\n%d/9 apps skipped region re-costs via impact analysis\n",
                 apps_with_region_skips);
@@ -565,6 +583,21 @@ int main() {
     if (!all_delta_identical) {
         std::printf("FAIL: a delta-costed cast-aware search diverged from the "
                     "full-recost path\n");
+        return 1;
+    }
+    if (delta_rows != 9) {
+        std::printf("FAIL: cast-aware delta section has %d app rows (expected "
+                    "9)\n", delta_rows);
+        return 1;
+    }
+    if (!all_splits_cover_full) {
+        std::printf("FAIL: a delta-costed search's recost/skip split does not "
+                    "cover the full-recost count\n");
+        return 1;
+    }
+    if (apps_with_region_skips != apps_with_counted_skips) {
+        std::printf("FAIL: apps_with_region_skips %d != %d rows with skips\n",
+                    apps_with_region_skips, apps_with_counted_skips);
         return 1;
     }
     if (!delta_skips_gate) {

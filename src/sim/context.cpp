@@ -39,6 +39,12 @@ void record_op(FpFormat format, FpOp op) noexcept {
     if (stats_enabled()) thread_stats().record_op(format, op);
 }
 
+/// Length of the last trace take_program() handed out on this thread.
+std::size_t& last_trace_length() noexcept {
+    thread_local std::size_t length = 0;
+    return length;
+}
+
 } // namespace
 
 // --- TpValue ---------------------------------------------------------------
@@ -170,6 +176,12 @@ void TpArray::store(std::size_t i, const TpValue& value) {
 
 // --- TpContext -------------------------------------------------------------
 
+TpContext::TpContext(Config config) : config_(config) {
+    assert((!config_.record_values || config_.trace) &&
+           "record_values keys value records by trace-assigned ids");
+    if (config_.trace) trace_.reserve(last_trace_length());
+}
+
 TpValue TpContext::from_int(std::int64_t value, FpFormat format) {
     std::int32_t id = -1;
     if (config_.trace) {
@@ -279,6 +291,7 @@ void TpContext::emit_store(std::uint32_t stream, FpFormat fmt, std::int32_t src)
 
 TraceProgram TpContext::take_program(bool apply_simd) {
     TraceProgram program;
+    last_trace_length() = trace_.size();
     program.instrs = std::move(trace_);
     program.value_count = value_count_;
     program.values = std::move(values_);

@@ -144,10 +144,10 @@ public:
     };
 
     TpContext() : TpContext(Config{}) {}
-    explicit TpContext(Config config) : config_(config) {
-        assert((!config_.record_values || config_.trace) &&
-               "record_values keys value records by trace-assigned ids");
-    }
+    /// A tracing context reserves its trace at the length of the last
+    /// trace taken (take_program) on this thread, so repeated runs of one
+    /// kernel emit without regrowing the buffer.
+    explicit TpContext(Config config);
     TpContext(const TpContext&) = delete;
     TpContext& operator=(const TpContext&) = delete;
 

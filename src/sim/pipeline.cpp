@@ -1,7 +1,8 @@
 #include "sim/pipeline.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fpu/latency_model.hpp"
@@ -22,6 +23,17 @@ int latency_of(const Instr& instr) noexcept {
     return 1;
 }
 
+/// A program's operand ids index the scoreboard; the replay refuses one
+/// past value_count (or a negative id where an operand is required)
+/// instead of writing out of bounds.
+[[noreturn]] void throw_bad_id(std::int32_t id, std::size_t index,
+                               std::size_t value_count) {
+    throw std::invalid_argument("run_pipeline: value id " + std::to_string(id) +
+                                " at instruction " + std::to_string(index) +
+                                " is out of range (value_count " +
+                                std::to_string(value_count) + ")");
+}
+
 } // namespace
 
 PipelineResult run_pipeline(const TraceProgram& program, int addr_ops_per_access) {
@@ -30,16 +42,29 @@ PipelineResult run_pipeline(const TraceProgram& program, int addr_ops_per_access
     std::int64_t next_free_slot = 0; // first cycle the issue stage is free
     std::int64_t fpu_busy_until = 0; // structural hazard for iterative ops
 
+    // Every id is checked where the replay first touches it, so a
+    // malformed program throws std::invalid_argument naming the id.
+    std::size_t i = 0;
+    auto slot_of = [&](std::int32_t id) -> std::size_t {
+        if (id < 0 || static_cast<std::size_t>(id) >= ready.size()) {
+            throw_bad_id(id, i, ready.size());
+        }
+        return static_cast<std::size_t>(id);
+    };
     auto ready_of = [&](std::int32_t id) -> std::int64_t {
-        if (id < 0) return 0;
-        assert(static_cast<std::size_t>(id) < ready.size());
-        return ready[static_cast<std::size_t>(id)];
+        return id < 0 ? 0 : ready[slot_of(id)];
     };
 
-    for (std::size_t i = 0; i < program.instrs.size(); ++i) {
+    for (; i < program.instrs.size(); ++i) {
         const Instr& instr = program.instrs[i];
 
         if (instr.simd_group != 0) {
+            if (instr.simd_group > program.groups.size()) {
+                throw std::invalid_argument(
+                    "run_pipeline: instruction " + std::to_string(i) +
+                    " names SIMD group " + std::to_string(instr.simd_group) + " of " +
+                    std::to_string(program.groups.size()));
+            }
             const SimdGroup& group = program.groups[instr.simd_group - 1];
             if (group.last_index != i) continue; // issues with its last member
             if (group.kind == InstrKind::Load || group.kind == InstrKind::Store) {
@@ -58,7 +83,7 @@ PipelineResult run_pipeline(const TraceProgram& program, int addr_ops_per_access
                 lat = fpu::latency_cycles(group.op, group.fmt);
             }
             for (std::int32_t dst : group.dsts) {
-                ready[static_cast<std::size_t>(dst)] = issue + lat;
+                ready[slot_of(dst)] = issue + lat;
             }
             next_free_slot = issue + 1;
             ++result.issue_slots;
@@ -83,7 +108,7 @@ PipelineResult run_pipeline(const TraceProgram& program, int addr_ops_per_access
 
         const int lat = latency_of(instr);
         if (instr.dst >= 0) {
-            ready[static_cast<std::size_t>(instr.dst)] = issue + lat;
+            ready[slot_of(instr.dst)] = issue + lat;
         }
         if (instr.kind == InstrKind::FpArith &&
             !fpu::is_pipelined(instr.op, instr.fmt)) {

@@ -31,6 +31,8 @@ struct PipelineResult {
 /// Replays the (possibly vectorized) program and returns cycle counts.
 /// Each memory access (scalar or packed group) additionally occupies
 /// `addr_ops_per_access` integer issue slots for address generation.
+/// Throws std::invalid_argument, naming the id, when an operand id is not
+/// below `program.value_count` or an instruction names a missing group.
 [[nodiscard]] PipelineResult run_pipeline(const TraceProgram& program,
                                           int addr_ops_per_access = 2);
 

@@ -8,7 +8,11 @@
 // and integrating energy over it (sim/platform.hpp).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "flexfloat/stats.hpp"
@@ -52,20 +56,102 @@ struct Instr {
     }
 };
 
+// Traces run to hundreds of thousands of instructions; the record stays
+// at half a cache line.
+static_assert(sizeof(Instr) == 32, "Instr is no longer 32 bytes");
+
 using Trace = std::vector<Instr>;
+
+/// Most lanes a SIMD group packs: four 8-bit lanes in the 32-bit datapath.
+inline constexpr std::size_t kMaxSimdLanes = 4;
+
+/// FP operations with a SIMD datapath on the unit (paper, Fig. 3). Only
+/// these, narrow loads and narrow stores are grouped by sim::vectorize().
+[[nodiscard]] constexpr bool has_simd_datapath(FpOp op) noexcept {
+    return op == FpOp::Add || op == FpOp::Sub || op == FpOp::Mul;
+}
+
+/// Value-id sources an FpArith instruction of `op` reads.
+[[nodiscard]] constexpr std::size_t fp_op_sources(FpOp op) noexcept {
+    switch (op) {
+    case FpOp::Fma: return 3;
+    case FpOp::Sqrt:
+    case FpOp::Neg:
+    case FpOp::Abs:
+    case FpOp::ToInt: return 1;
+    case FpOp::FromInt: return 0;
+    default: return 2;
+    }
+}
+
+/// Most value-id sources one member of a SIMD group reads: two for the
+/// arithmetic datapaths, one for a packed store, none for a packed load.
+inline constexpr std::size_t kMaxGroupMemberSources = 2;
+
+namespace detail {
+[[nodiscard]] constexpr std::size_t max_simd_datapath_sources() noexcept {
+    std::size_t most = 1; // a packed store's value
+    for (std::size_t i = 0; i < kFpOpCount; ++i) {
+        const auto op = static_cast<FpOp>(i);
+        if (has_simd_datapath(op) && fp_op_sources(op) > most) {
+            most = fp_op_sources(op);
+        }
+    }
+    return most;
+}
+} // namespace detail
+
+// SimdGroup::srcs is sized from kMaxGroupMemberSources: giving a wider op
+// a SIMD datapath must widen it too.
+static_assert(detail::max_simd_datapath_sources() <= kMaxGroupMemberSources,
+              "a groupable op reads more sources than SimdGroup::srcs holds");
+
+/// A fixed-capacity list of value ids stored inline, so a SIMD group owns
+/// no heap memory. push_back() past the capacity throws std::length_error.
+template <std::size_t Capacity>
+class InlineIds {
+public:
+    void push_back(std::int32_t id) {
+        if (size_ == Capacity) {
+            throw std::length_error("InlineIds: capacity exceeded");
+        }
+        ids_[size_++] = id;
+    }
+
+    [[nodiscard]] const std::int32_t* begin() const noexcept { return ids_.data(); }
+    [[nodiscard]] const std::int32_t* end() const noexcept {
+        return ids_.data() + size_;
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+    friend bool operator==(const InlineIds& a, const InlineIds& b) noexcept {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+private:
+    static_assert(Capacity <= 255, "size_ is one byte");
+    std::array<std::int32_t, Capacity> ids_{};
+    std::uint8_t size_ = 0;
+};
 
 /// A SIMD group created by the vectorization pass: `lanes` element
 /// operations retired by a single instruction slot. Member instructions are
 /// adjacent in the rewritten trace; the group issues at `last_index`.
+///
+/// The operand lists are inline: `dsts` holds one id per lane
+/// (kMaxSimdLanes) and `srcs` kMaxGroupMemberSources per lane — 4 and 8
+/// ids. A packed store group has no `dsts`.
 struct SimdGroup {
-    std::vector<std::int32_t> dsts;
-    std::vector<std::int32_t> srcs;
+    InlineIds<kMaxSimdLanes> dsts;
+    InlineIds<kMaxSimdLanes * kMaxGroupMemberSources> srcs;
     std::size_t last_index = 0; // trace index at which the group issues
     int lanes = 0;
     int bytes = 0; // total access width for packed Load/Store groups
     InstrKind kind = InstrKind::FpArith;
     FpOp op = FpOp::Add;
     FpFormat fmt{8, 23};
+
+    friend bool operator==(const SimdGroup&, const SimdGroup&) = default;
 };
 
 /// The concrete value an SSA id took in a recorded execution, plus the

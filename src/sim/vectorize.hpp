@@ -19,6 +19,18 @@ namespace tp::sim {
 /// of its last member. Groups never span a vector-region boundary (the
 /// builder flushes keys when the region closes, yielding partially filled
 /// groups only as scalars).
+///
+/// The pass reorders `program.instrs` inside its own buffer: the trace
+/// keeps its length and its storage, and only `groups` is rebuilt. Its
+/// allocations per call: the group list, reserved once at its bound of
+/// instrs.size() / 2, a table of value_count ints, and a few bucket slots.
+///
+/// Contract: every operand id (dst/src1/src2/src3) is below
+/// `program.value_count`, negative meaning "no operand"; a program that
+/// breaks it gets std::invalid_argument naming the id. A group whose
+/// members read more values than SimdGroup::srcs holds (possible only in
+/// hand-built traces) gets std::length_error. Either way the program is
+/// left partly rewritten.
 void vectorize(TraceProgram& program);
 
 /// Lanes a format's width allows in a 32-bit datapath (1, 2 or 4).

@@ -175,4 +175,20 @@ TEST(Context, VectorizedRunReducesAccessesAndEnergy) {
     EXPECT_LT(simd.cycles, scalar.cycles);
 }
 
+TEST(Context, TracingContextReservesLastTraceLength) {
+    {
+        TpContext big;
+        big.int_ops(1000);
+        EXPECT_EQ(big.take_program(false).instrs.size(), 1000u);
+    }
+    // The next tracing context on this thread starts at that length...
+    TpContext next;
+    next.int_ops(1);
+    EXPECT_GE(next.take_program(false).instrs.capacity(), 1000u);
+    // ...and the one after it at the last length, not the largest one.
+    TpContext small;
+    small.int_ops(1);
+    EXPECT_LT(small.take_program(false).instrs.capacity(), 1000u);
+}
+
 } // namespace

@@ -1,5 +1,8 @@
 #include "sim/pipeline.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sim/context.hpp"
@@ -165,6 +168,58 @@ TEST(Pipeline, GroupDependencyStillStalls) {
     const auto program = ctx.take_program(true);
     const auto result = run_pipeline(program);
     EXPECT_GE(result.stall_cycles, 1u);
+}
+
+/// A hand-built one-add program: dst 2 from sources 0 and 1.
+TraceProgram one_add(std::size_t value_count) {
+    TraceProgram program;
+    tp::sim::Instr add;
+    add.kind = tp::sim::InstrKind::FpArith;
+    add.fmt = tp::kBinary32;
+    add.src1 = 0;
+    add.src2 = 1;
+    add.dst = 2;
+    program.instrs.push_back(add);
+    program.value_count = value_count;
+    return program;
+}
+
+/// The message run_pipeline throws for `program`, or "" when it does not.
+std::string pipeline_error(const TraceProgram& program) {
+    try {
+        (void)run_pipeline(program);
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Pipeline, RejectsDstPastValueCount) {
+    // ready[dst] is written unchecked in the replay loop: an id at
+    // value_count must be refused up front, naming the id.
+    const std::string error = pipeline_error(one_add(2));
+    EXPECT_NE(error.find("value id 2"), std::string::npos) << error;
+    EXPECT_EQ(pipeline_error(one_add(3)), "");
+}
+
+TEST(Pipeline, RejectsSourcePastValueCount) {
+    TraceProgram program = one_add(3);
+    program.instrs[0].src2 = 7;
+    const std::string error = pipeline_error(program);
+    EXPECT_NE(error.find("value id 7"), std::string::npos) << error;
+}
+
+TEST(Pipeline, RejectsMalformedSimdGroups) {
+    TraceProgram program = one_add(3);
+    tp::sim::SimdGroup group;
+    group.lanes = 1;
+    group.dsts.push_back(5); // past value_count
+    program.groups.push_back(group);
+    program.instrs[0].simd_group = 1;
+    EXPECT_NE(pipeline_error(program).find("value id 5"), std::string::npos);
+
+    program.groups.clear(); // the instruction now names a missing group
+    EXPECT_NE(pipeline_error(program).find("SIMD group 1"), std::string::npos);
 }
 
 } // namespace

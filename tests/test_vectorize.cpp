@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 
 namespace {
 
+using tp::sim::Instr;
 using tp::sim::InstrKind;
 using tp::sim::TpContext;
 using tp::sim::TraceProgram;
@@ -224,6 +227,113 @@ TEST(Vectorize, SimdDisabledLeavesTraceAlone) {
     TraceProgram program = ctx.take_program(false);
     EXPECT_TRUE(program.groups.empty());
     for (const auto& instr : program.instrs) EXPECT_EQ(instr.simd_group, 0u);
+}
+
+TEST(Vectorize, FullBinary8AddGroupFillsSourceCapacity) {
+    // Four lanes, two sources each: srcs holds exactly its capacity.
+    TpContext ctx;
+    {
+        const auto region = ctx.vector_region();
+        for (int i = 0; i < 4; ++i) {
+            const auto a = ctx.constant(1.0, tp::kBinary8);
+            const auto b = ctx.constant(2.0, tp::kBinary8);
+            (void)(a + b);
+        }
+    }
+    TraceProgram program = ctx.take_program(true);
+    ASSERT_EQ(program.groups.size(), 1u);
+    const auto& group = program.groups[0];
+    EXPECT_EQ(group.lanes, 4);
+    EXPECT_EQ(group.dsts.size(), tp::sim::kMaxSimdLanes);
+    EXPECT_EQ(group.srcs.size(),
+              tp::sim::kMaxSimdLanes * tp::sim::kMaxGroupMemberSources);
+}
+
+TEST(Vectorize, PackedStoreGroupHasNoDsts) {
+    TpContext ctx;
+    auto arr = ctx.make_array(tp::kBinary8, 4);
+    {
+        const auto region = ctx.vector_region();
+        for (std::size_t i = 0; i < 4; ++i) {
+            arr.store(i, ctx.constant(1.0, tp::kBinary8));
+        }
+    }
+    TraceProgram program = ctx.take_program(true);
+    ASSERT_EQ(program.groups.size(), 1u);
+    const auto& group = program.groups[0];
+    EXPECT_EQ(group.kind, InstrKind::Store);
+    EXPECT_EQ(group.lanes, 4);
+    EXPECT_EQ(group.bytes, 4);
+    EXPECT_EQ(group.dsts.size(), 0u);
+    EXPECT_EQ(group.srcs.size(), 4u); // one stored value per lane
+}
+
+TEST(Vectorize, InlineIdsRejectOverflow) {
+    tp::sim::InlineIds<2> ids;
+    ids.push_back(1);
+    ids.push_back(2);
+    EXPECT_THROW(ids.push_back(3), std::length_error);
+    EXPECT_EQ(ids.size(), 2u);
+}
+
+TEST(Vectorize, RewritesInPlace) {
+    TpContext ctx;
+    auto arr = ctx.make_array(tp::kBinary8, 8);
+    {
+        const auto region = ctx.vector_region();
+        for (std::size_t i = 0; i < 8; ++i) {
+            const auto x = arr.load(i);
+            arr.store(i, x * x);
+        }
+    }
+    TraceProgram program = ctx.take_program(false);
+    const Instr* buffer = program.instrs.data();
+    const std::size_t size = program.instrs.size();
+    tp::sim::vectorize(program);
+    EXPECT_EQ(program.instrs.data(), buffer);
+    EXPECT_EQ(program.instrs.size(), size);
+    EXPECT_FALSE(program.groups.empty());
+}
+
+TEST(Vectorize, RejectsValueIdsPastValueCount) {
+    TraceProgram program;
+    Instr add;
+    add.kind = InstrKind::FpArith;
+    add.fmt = tp::kBinary8;
+    add.vectorizable = true;
+    add.src1 = 0;
+    add.src2 = 1;
+    add.dst = 2;
+    program.instrs.push_back(add);
+    program.value_count = 2; // ids 0 and 1 only
+    try {
+        tp::sim::vectorize(program);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string{e.what()}.find("value id 2"), std::string::npos)
+            << e.what();
+    }
+    program.value_count = 3;
+    EXPECT_NO_THROW(tp::sim::vectorize(program));
+}
+
+TEST(Vectorize, GroupOverflowingItsSourceListThrows) {
+    // add/sub/mul lanes carry two sources; four three-source adds would
+    // need 12 ids where SimdGroup::srcs holds 8.
+    TraceProgram program;
+    for (std::int32_t lane = 0; lane < 4; ++lane) {
+        Instr add;
+        add.kind = InstrKind::FpArith;
+        add.fmt = tp::kBinary8;
+        add.vectorizable = true;
+        add.src1 = 0;
+        add.src2 = 1;
+        add.src3 = 2;
+        add.dst = 3 + lane;
+        program.instrs.push_back(add);
+    }
+    program.value_count = 7;
+    EXPECT_THROW(tp::sim::vectorize(program), std::length_error);
 }
 
 } // namespace
