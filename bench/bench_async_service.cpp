@@ -35,7 +35,8 @@
 // reaches a terminal state (zero dropped); and every completed result is
 // bit-identical to its direct search.
 //
-// Results go to BENCH_async_service.json (CI artifact).
+// Results go to BENCH_async_service.json (CI artifact). Every gate above
+// is enforced here, through the exit code; nothing re-checks the JSON.
 #include <algorithm>
 #include <chrono>
 #include <cmath>

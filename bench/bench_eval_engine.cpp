@@ -154,9 +154,12 @@ int main() {
     // previous result and clamping probe ranges by monotonicity, so trials
     // are never SUBMITTED rather than merely served from cache. Both sides
     // run on a fresh shared memoized engine so the wall-time comparison is
-    // engine-for-engine fair; the headline acceptance gates (>= 25% fewer
-    // trials on >= 7 of 9 apps, every warm result meeting its epsilon at
-    // per-signal precision <= the independent search's) fail the bench.
+    // engine-for-engine fair; the acceptance gates fail the bench: exactly
+    // nine app rows, on every app fewer trials than the independent
+    // searches and at least one skipped bisection step, every warm result
+    // meeting its epsilon at per-signal precision <= the independent
+    // search's, and >= 25% fewer trials on >= 7 of 9 apps (the reported
+    // apps_with_cut_ge_25pct matching a recount of the rows).
     std::printf("\n# warm-started sweep vs independent searches "
                 "(sweep_search, shared memoized engine)\n\n");
     std::printf("%-8s %-9s %-9s %-7s %-9s %-9s %-8s %-7s %s\n", "app",
@@ -166,6 +169,9 @@ int main() {
     int apps_with_headline_cut = 0;
     bool all_meet_epsilon = true;
     bool all_le_independent = true;
+    bool all_warm_cut_trials = true;   // warm_trials < independent_trials
+    bool all_warm_skipped_steps = true; // trials_skipped_by_bounds > 0
+    std::vector<double> warm_cuts;      // per row, for the headline recount
     auto warm_json = tp::bench::Json::array();
     for (const std::string& app_name : tp::apps::app_names()) {
         auto app = tp::apps::make_app(app_name);
@@ -224,6 +230,11 @@ int main() {
                             static_cast<double>(independent_trials)
                 : 0.0;
         if (cut >= 0.25) ++apps_with_headline_cut;
+        warm_cuts.push_back(cut);
+        all_warm_cut_trials =
+            all_warm_cut_trials && warm_trials < independent_trials;
+        all_warm_skipped_steps =
+            all_warm_skipped_steps && warm_stats.trials_skipped_by_bounds > 0;
 
         std::printf("%-8s %-9zu %-9zu %-7.1f %-9zu %-9zu %-8zu %-7s %s\n",
                     app_name.c_str(), independent_trials, warm_trials,
@@ -555,6 +566,28 @@ int main() {
     if (!all_le_independent) {
         std::printf("FAIL: a warm-started result exceeded the independent "
                     "search's precision\n");
+        return 1;
+    }
+    if (warm_cuts.size() != 9) {
+        std::printf("FAIL: sweep_warm_start section has %zu app rows "
+                    "(expected 9)\n", warm_cuts.size());
+        return 1;
+    }
+    if (!all_warm_cut_trials) {
+        std::printf("FAIL: a warm-started sweep did not cut trials below the "
+                    "independent searches'\n");
+        return 1;
+    }
+    if (!all_warm_skipped_steps) {
+        std::printf("FAIL: a warm-started sweep skipped no bisection steps\n");
+        return 1;
+    }
+    if (const auto recount = std::count_if(
+            warm_cuts.begin(), warm_cuts.end(),
+            [](double cut) { return cut >= 0.25; });
+        recount != apps_with_headline_cut) {
+        std::printf("FAIL: apps_with_cut_ge_25pct %d != %d rows with a >= 25%% "
+                    "cut\n", apps_with_headline_cut, static_cast<int>(recount));
         return 1;
     }
     if (!headline_cut) {

@@ -21,6 +21,15 @@
 // Results are printed and written to BENCH_flexfloat_overhead.json (CI
 // artifact), including each series' resolved backend and the fast path's
 // speedup over forced emulation.
+//
+// A second section, app_kernels, times what those per-op costs add up to
+// in the tuning loop: the median wall time of one untraced App::run (the
+// compute-only path of sim/context.hpp — every tuning trial is one) per
+// registered app, on uniform binary32 and on the app's epsilon = 1e-2
+// tuned binding (V2 type system, three input sets), workload preparation
+// excluded. It is the per-app kernel-time record speedup work is checked
+// against.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -28,12 +37,16 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.hpp"
 #include "flexfloat/arith_backend.hpp"
 #include "flexfloat/flexfloat.hpp"
 #include "flexfloat/flexfloat_dyn.hpp"
 #include "harness.hpp"
 #include "json.hpp"
+#include "sim/context.hpp"
 #include "softfloat/softfloat.hpp"
+#include "tuning/search.hpp"
+#include "types/type_system.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -216,6 +229,61 @@ void measure_softfloat(std::vector<Measurement>& results,
                               }));
 }
 
+// --- whole-app kernels: untraced App::run ------------------------------------
+
+/// Each app kernel is timed for at least this long and at least
+/// kMinKernelRuns times; the median run is reported.
+constexpr double kMinKernelSeconds = 0.1;
+constexpr std::size_t kMinKernelRuns = 11;
+
+struct KernelTiming {
+    std::string app;
+    std::string binding; // "binary32" | "tuned_eps1e-2"
+    double median_us = 0.0;
+    std::size_t runs = 0;
+};
+
+KernelTiming time_kernel(tp::apps::App& app, const std::string& binding,
+                         const tp::apps::TypeConfig& config) {
+    const auto run_once = [&app, &config] {
+        app.prepare(0);
+        tp::sim::TpContext ctx{tp::sim::TpContext::Config{.trace = false}};
+        const auto start = Clock::now();
+        const std::vector<double> out = app.run(ctx, config);
+        const double seconds = tp::bench::seconds_since(start);
+        g_sink = out.empty() ? 0.0 : out.front();
+        return seconds;
+    };
+    (void)run_once(); // warm-up
+    std::vector<double> samples;
+    double total = 0.0;
+    while (total < kMinKernelSeconds || samples.size() < kMinKernelRuns) {
+        samples.push_back(run_once());
+        total += samples.back();
+    }
+    const auto mid =
+        samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+    std::nth_element(samples.begin(), mid, samples.end());
+    return KernelTiming{std::string{app.name()}, binding, 1e6 * *mid,
+                        samples.size()};
+}
+
+std::vector<KernelTiming> measure_app_kernels() {
+    std::vector<KernelTiming> timings;
+    for (const std::string& name : tp::apps::app_names()) {
+        auto app = tp::apps::make_app(name);
+        auto options =
+            tp::bench::bench_search_options(1e-2, tp::TypeSystemKind::V2);
+        options.static_bounds = true; // same binding, fewer trials
+        const tp::apps::TypeConfig tuned =
+            tp::tuning::distributed_search(*app, options).type_config();
+        timings.push_back(
+            time_kernel(*app, "binary32", app->uniform_config(tp::kBinary32)));
+        timings.push_back(time_kernel(*app, "tuned_eps1e-2", tuned));
+    }
+    return timings;
+}
+
 } // namespace
 
 int main() {
@@ -277,12 +345,30 @@ int main() {
         backends.item_raw(entry.str(2));
     }
 
+    std::printf("\n# untraced App::run, median per run (input set 0, "
+                "min %.0f ms and %zu runs per row)\n\n",
+                1e3 * kMinKernelSeconds, kMinKernelRuns);
+    std::printf("%-8s %-14s %12s %6s\n", "app", "binding", "median_us",
+                "runs");
+    auto kernels = tp::bench::Json::array();
+    for (const KernelTiming& t : measure_app_kernels()) {
+        std::printf("%-8s %-14s %12.1f %6zu\n", t.app.c_str(),
+                    t.binding.c_str(), t.median_us, t.runs);
+        kernels.item_raw(tp::bench::Json::object()
+                             .field("app", t.app)
+                             .field("binding", t.binding)
+                             .field("median_run_us", t.median_us)
+                             .field("runs", t.runs)
+                             .str(2));
+    }
+
     const auto doc = tp::bench::Json::object()
                          .field("bench", "bench_flexfloat_overhead")
                          .field("elements", kN)
                          .field("min_seconds_per_series", kMinSeconds)
                          .field("native_f16_available", bool(TP_NATIVE_F16))
                          .raw("backends", backends.str(2))
+                         .raw("app_kernels", kernels.str(2))
                          .str();
     std::ofstream out{"BENCH_flexfloat_overhead.json"};
     out << doc << "\n";

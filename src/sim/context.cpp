@@ -48,12 +48,10 @@ std::size_t& last_trace_length() noexcept {
 } // namespace
 
 // --- TpValue ---------------------------------------------------------------
+// The instrumented bodies behind the inline entry points in context.hpp.
 
-TpValue TpValue::binary(FpOp op, const TpValue& a, const TpValue& b) {
-    TpContext* ctx = a.ctx_ != nullptr ? a.ctx_ : b.ctx_;
-    assert(ctx != nullptr && "TpValue arithmetic requires a live context");
-    assert((a.ctx_ == nullptr || b.ctx_ == nullptr || a.ctx_ == b.ctx_) &&
-           "operands belong to different contexts");
+TpValue TpValue::binary_slow(FpOp op, const TpValue& a, const TpValue& b) {
+    TpContext* ctx = context_of(a, b);
     assert(a.format() == b.format() &&
            "mixed-format arithmetic requires an explicit cast");
     const FpFormat fmt = a.format();
@@ -64,7 +62,7 @@ TpValue TpValue::binary(FpOp op, const TpValue& a, const TpValue& b) {
     return TpValue{ctx, TpContext::adopt(ctx, r, fmt), id};
 }
 
-TpValue TpValue::unary(FpOp op, const TpValue& a) {
+TpValue TpValue::unary_slow(FpOp op, const TpValue& a) {
     assert(a.ctx_ != nullptr);
     const FpFormat fmt = a.format();
     record_op(fmt, op);
@@ -74,36 +72,12 @@ TpValue TpValue::unary(FpOp op, const TpValue& a) {
     return TpValue{a.ctx_, TpContext::adopt(a.ctx_, r, fmt), id};
 }
 
-bool TpValue::compare(const TpValue& a, const TpValue& b, bool result) {
-    TpContext* ctx = a.ctx_ != nullptr ? a.ctx_ : b.ctx_;
-    assert(ctx != nullptr);
-    ctx->emit_cmp(a.format(), a.id_, b.id_);
-    return result;
+void TpValue::compare_slow(const TpValue& a, const TpValue& b) {
+    context_of(a, b)->emit_cmp(a.format(), a.id_, b.id_);
 }
 
-TpValue operator+(const TpValue& a, const TpValue& b) {
-    return TpValue::binary(FpOp::Add, a, b);
-}
-TpValue operator-(const TpValue& a, const TpValue& b) {
-    return TpValue::binary(FpOp::Sub, a, b);
-}
-TpValue operator*(const TpValue& a, const TpValue& b) {
-    return TpValue::binary(FpOp::Mul, a, b);
-}
-TpValue operator/(const TpValue& a, const TpValue& b) {
-    return TpValue::binary(FpOp::Div, a, b);
-}
-TpValue operator-(const TpValue& a) {
-    return TpValue::unary(FpOp::Neg, a);
-}
-TpValue sqrt(const TpValue& a) {
-    return TpValue::unary(FpOp::Sqrt, a);
-}
-TpValue abs(const TpValue& a) {
-    return TpValue::unary(FpOp::Abs, a);
-}
-TpValue TpValue::ternary(FpOp op, const TpValue& a, const TpValue& b,
-                         const TpValue& c) {
+TpValue TpValue::ternary_slow(FpOp op, const TpValue& a, const TpValue& b,
+                              const TpValue& c) {
     TpContext* ctx =
         a.ctx_ != nullptr ? a.ctx_ : (b.ctx_ != nullptr ? b.ctx_ : c.ctx_);
     assert(ctx != nullptr && "TpValue fma requires a live context");
@@ -124,24 +98,7 @@ TpValue TpValue::ternary(FpOp op, const TpValue& a, const TpValue& b,
     return TpValue{ctx, TpContext::adopt(ctx, r, fmt), id};
 }
 
-TpValue fma(const TpValue& a, const TpValue& b, const TpValue& c) {
-    return TpValue::ternary(FpOp::Fma, a, b, c);
-}
-
-bool operator<(const TpValue& a, const TpValue& b) {
-    return TpValue::compare(a, b, a.value_ < b.value_);
-}
-bool operator<=(const TpValue& a, const TpValue& b) {
-    return TpValue::compare(a, b, a.value_ <= b.value_);
-}
-bool operator>(const TpValue& a, const TpValue& b) {
-    return TpValue::compare(a, b, a.value_ > b.value_);
-}
-bool operator>=(const TpValue& a, const TpValue& b) {
-    return TpValue::compare(a, b, a.value_ >= b.value_);
-}
-
-TpValue TpValue::cast_to(FpFormat target) const {
+TpValue TpValue::cast_slow(FpFormat target) const {
     assert(ctx_ != nullptr);
     if (stats_enabled()) thread_stats().record_cast(format(), target);
     const double r = ctx_->shadow()
@@ -156,7 +113,7 @@ TpValue TpValue::cast_to(FpFormat target) const {
 
 // --- TpArray ---------------------------------------------------------------
 
-TpValue TpArray::load(std::size_t i) {
+TpValue TpArray::load_slow(std::size_t i) {
     assert(i < data_.size());
     const std::int32_t id = ctx_->emit_load(stream_, format_);
     ctx_->record_value(id, data_[i], format_);
@@ -165,10 +122,7 @@ TpValue TpArray::load(std::size_t i) {
     return TpValue{ctx_, TpContext::adopt(ctx_, data_[i], format_), id};
 }
 
-void TpArray::store(std::size_t i, const TpValue& value) {
-    assert(i < data_.size());
-    assert(value.format() == format_ &&
-           "store requires the array's element format; cast explicitly");
+void TpArray::store_slow(std::size_t i, const TpValue& value) {
     ctx_->emit_store(stream_, format_, value.id_);
     if (!writers_.empty()) writers_[i] = value.id_;
     data_[i] = value.to_double(); // already sanitized to this format
@@ -182,7 +136,7 @@ TpContext::TpContext(Config config) : config_(config) {
     if (config_.trace) trace_.reserve(last_trace_length());
 }
 
-TpValue TpContext::from_int(std::int64_t value, FpFormat format) {
+TpValue TpContext::from_int_slow(std::int64_t value, FpFormat format) {
     std::int32_t id = -1;
     if (config_.trace) {
         Instr instr;
@@ -205,8 +159,7 @@ TpValue TpContext::from_int(std::int64_t value, FpFormat format) {
     return TpValue{this, TpContext::adopt(this, r, format), id};
 }
 
-void TpContext::int_ops(int n) {
-    if (!config_.trace) return;
+void TpContext::emit_int_ops(int n) {
     for (int i = 0; i < n; ++i) {
         Instr instr;
         instr.kind = InstrKind::IntAlu;
@@ -214,8 +167,7 @@ void TpContext::int_ops(int n) {
     }
 }
 
-void TpContext::branch(int n) {
-    if (!config_.trace) return;
+void TpContext::emit_branches(int n) {
     for (int i = 0; i < n; ++i) {
         Instr instr;
         instr.kind = InstrKind::Branch;

@@ -1,6 +1,8 @@
 #include "tuning/cast_aware.hpp"
 
 #include <array>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "tuning/eval_engine.hpp"
@@ -58,6 +60,15 @@ bool meets_everywhere(EvalEngine& engine, const apps::TypeConfig& config,
 
 } // namespace
 
+void validate(const CastAwareOptions& options) {
+    validate(options.search);
+    if (options.max_rounds < 0) {
+        throw std::invalid_argument(
+            "CastAwareOptions::max_rounds must not be negative, got " +
+            std::to_string(options.max_rounds));
+    }
+}
+
 CastAwareResult cast_aware_search(apps::App& app, const CastAwareOptions& options) {
     // One engine serves the base DistributedSearch and the cast-aware
     // refinement: the pool is spun up once, and the refinement's quality
@@ -69,6 +80,7 @@ CastAwareResult cast_aware_search(apps::App& app, const CastAwareOptions& option
 
 CastAwareResult cast_aware_search(EvalEngine& engine,
                                   const CastAwareOptions& options) {
+    validate(options);
     // On a shared long-lived engine (tuning/service.hpp) the counters
     // include other requests' work; report only this call's delta.
     const EvalStats stats_before = engine.stats();

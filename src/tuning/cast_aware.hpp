@@ -33,7 +33,7 @@ struct CastAwareOptions {
     /// search's probe ranges and start phase 2 from the same binding.
     SearchOptions search;
     bool simd = true;          // platform configuration for the cost oracle
-    int max_rounds = 4;        // greedy sweeps over all variables
+    int max_rounds = 4;        // greedy sweeps over all variables, >= 0
     unsigned cost_input_set = 0; // workload used for energy evaluation
     /// Delta-cost the candidate probes: each probe differs from the
     /// current binding in one signal, so its cost report is obtained via
@@ -73,6 +73,10 @@ struct CastAwareResult {
     /// call interleaves into it (the TuningService batch-stats caveat).
     EvalStats eval_stats;
 };
+
+/// validate(options.search), plus std::invalid_argument on a negative
+/// max_rounds. cast_aware_search and TuningService::submit call it first.
+void validate(const CastAwareOptions& options);
 
 /// Runs DistributedSearch, then the cast-aware refinement, on a private
 /// EvalEngine shared by both phases (pool, clones, memoized trials).

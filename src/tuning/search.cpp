@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "analysis/derive_bounds.hpp"
@@ -30,12 +32,34 @@ std::size_t bisect_depth(int lo, int hi) {
     return std::bit_width(static_cast<unsigned>(hi - lo));
 }
 
-/// An empty input-set list would make every trial vacuous (and invert to
-/// all-kMinPrecisionBits static bounds): reject it before any work.
-void require_input_sets(const SearchOptions& options) {
+/// A NaN requirement compares false against every error, so the search
+/// would spend its whole trial budget and settle on binary32 without a
+/// word; infinite or non-positive ones are no requirement at all.
+void validate_epsilon(double epsilon) {
+    if (!std::isfinite(epsilon) || epsilon <= 0.0) {
+        throw std::invalid_argument(
+            "SearchOptions::epsilon must be finite and positive, got " +
+            std::to_string(epsilon));
+    }
+}
+
+/// The epsilon-independent part of validate(const SearchOptions&).
+void validate_budgets(const SearchOptions& options) {
+    // An empty input-set list would make every trial vacuous (and invert
+    // to all-kMinPrecisionBits static bounds).
     if (options.input_sets.empty()) {
         throw std::invalid_argument(
             "SearchOptions::input_sets must not be empty");
+    }
+    if (options.max_passes < 0) {
+        throw std::invalid_argument(
+            "SearchOptions::max_passes must not be negative, got " +
+            std::to_string(options.max_passes));
+    }
+    if (options.max_refinement_rounds < 0) {
+        throw std::invalid_argument(
+            "SearchOptions::max_refinement_rounds must not be negative, got " +
+            std::to_string(options.max_refinement_rounds));
     }
 }
 
@@ -407,6 +431,16 @@ TuningResult::locations_per_precision() const {
     return histogram;
 }
 
+void validate(const SearchOptions& options) {
+    validate_epsilon(options.epsilon);
+    validate_budgets(options);
+}
+
+void validate(const SearchOptions& base, const std::vector<double>& epsilons) {
+    validate_budgets(base);
+    for (const double epsilon : epsilons) validate_epsilon(epsilon);
+}
+
 TuningResult distributed_search(apps::App& app, const SearchOptions& options) {
     EvalEngine engine{app, EvalEngine::Options{.threads = options.threads,
                                                .memoize = true}};
@@ -414,7 +448,7 @@ TuningResult distributed_search(apps::App& app, const SearchOptions& options) {
 }
 
 TuningResult distributed_search(EvalEngine& engine, const SearchOptions& options) {
-    require_input_sets(options);
+    validate(options);
     if (options.static_bounds) {
         // Resolve the flag into explicit warm-start lower bounds before the
         // searcher sees the request. The engine memoizes each input set's
@@ -470,7 +504,7 @@ std::vector<TuningResult> sweep_search(EvalEngine& engine,
                                        const SearchOptions& base,
                                        const std::vector<double>& epsilons,
                                        bool warm_start_chain) {
-    require_input_sets(base);
+    validate(base, epsilons);
     std::vector<TuningResult> results;
     results.reserve(epsilons.size());
     for (std::size_t e = 0; e < epsilons.size(); ++e) {

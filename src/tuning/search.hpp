@@ -158,11 +158,10 @@ struct WarmStart {
 struct SearchOptions {
     double epsilon = 1e-1;                 // output-quality requirement
     TypeSystem type_system{TypeSystemKind::V2};
-    /// Input sets every trial verdict covers; must not be empty
-    /// (distributed_search and sweep_search throw std::invalid_argument).
+    /// Input sets every trial verdict covers; must not be empty.
     std::vector<unsigned> input_sets{0, 1, 2};
-    int max_refinement_rounds = 64;
-    int max_passes = 3; // greedy sweeps per input set
+    int max_refinement_rounds = 64; // must not be negative
+    int max_passes = 3; // greedy sweeps per input set; must not be negative
     /// Worker threads for trial evaluation. 1 runs the serial reference
     /// path; any value returns the same TuningResult (see the determinism
     /// contract above). Ignored when an external EvalEngine is supplied —
@@ -223,6 +222,17 @@ struct TuningResult {
     [[nodiscard]] std::array<std::size_t, kMaxPrecisionBits + 1>
     locations_per_precision() const;
 };
+
+/// Throws std::invalid_argument when `options` describes no search: an
+/// epsilon that is NaN, infinite or not positive, an empty input-set list,
+/// or a negative max_passes / max_refinement_rounds. Every search entry
+/// point (distributed_search, sweep_search, cast_aware_search) and
+/// TuningService::submit call it before any work.
+void validate(const SearchOptions& options);
+
+/// The same checks for an epsilon sweep, whose base.epsilon is ignored:
+/// every entry of `epsilons` is checked instead.
+void validate(const SearchOptions& base, const std::vector<double>& epsilons);
 
 /// Runs the two-phase search on `app` with a private EvalEngine.
 /// Deterministic for fixed options.

@@ -144,6 +144,26 @@ struct Overloaded : Ts... {
 template <typename... Ts>
 Overloaded(Ts...) -> Overloaded<Ts...>;
 
+/// The search-option checks of the entry point execute_work will call,
+/// applied at submit so a request no search can serve is refused before
+/// it holds a ticket (std::invalid_argument, like the direct call).
+void validate_work(const Request::Work& work) {
+    std::visit(Overloaded{
+                   [](const TuningRequest& r) {
+                       validate(resolve(r.options, r.epsilon, r.input_sets));
+                   },
+                   [](const CastAwareRequest& r) { validate(r.options); },
+                   [](const SweepRequest& r) {
+                       // resolve()'s epsilon is ignored: the sweep
+                       // overload checks every entry of r.epsilons.
+                       validate(resolve(r.options, r.options.epsilon,
+                                        r.input_sets),
+                                r.epsilons);
+                   },
+               },
+               work);
+}
+
 /// Runs one admitted request's work on its app's engine, inline on the
 /// calling scheduler worker. Pure in (engine caches aside) the work
 /// payload — the determinism contract's scheduling-independence rests on
@@ -354,9 +374,11 @@ EvalEngine& TuningService::engine(std::string_view app_name) {
 }
 
 TicketHandle TuningService::submit(Request request) {
-    // Admission control: resolve the app before anything is enqueued —
-    // an unknown name throws std::out_of_range here and the service is
-    // untouched.
+    // Admission control: check the search options and resolve the app
+    // before anything is enqueued — invalid options throw
+    // std::invalid_argument, an unknown name std::out_of_range, and the
+    // service is untouched either way.
+    validate_work(request.work);
     EvalEngine& request_engine = engine(app_of(request.work));
 
     const Clock::time_point now = Clock::now();

@@ -348,7 +348,9 @@ public:
     ~TuningService();
 
     /// Admits one request. Admission control runs BEFORE anything is
-    /// enqueued: an unknown app name throws std::out_of_range, a full
+    /// enqueued: search options the search entry point would refuse
+    /// (tuning::validate) throw std::invalid_argument, an unknown app
+    /// name throws std::out_of_range, a full
     /// priority class (Options::max_queued_per_class) throws
     /// RequestRejected{kQueueFull}, and with Options::deadline_admission
     /// a hopeless deadline throws RequestRejected{kDeadlineUnmeetable} —

@@ -27,10 +27,13 @@
 // executable includes it at most once.
 #pragma once
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,6 +43,7 @@
 #include "analysis/region_impact.hpp"
 #include "analysis/signal_flow.hpp"
 #include "apps/app.hpp"
+#include "flexfloat/stats.hpp"
 #include "sim/platform.hpp"
 #include "tuning/cast_aware.hpp"
 #include "tuning/eval_engine.hpp"
@@ -154,19 +158,68 @@ TEST_P(AppConformanceTest, Binary32RunIsCloseToGolden) {
         << "binary32 should be a near-exact baseline";
 }
 
+// Every way of running a kernel returns the same bits: the untraced
+// compute-only path (sim/context.hpp), the traced instrumented path, an
+// untraced run with FlexFloat statistics on (which leaves the compute-only
+// path), and a context pinned to the emulated backend. Checked on the
+// uniform bindings of the V2 members — binary8/16/16alt run emulated,
+// binary32 natively — and on the app's tuned epsilon = 1e-2 binding, the
+// mixed-format kind of config the searches actually evaluate.
 TEST_P(AppConformanceTest, TracedAndUntracedRunsAgree) {
     const auto app = this->app();
-    app->prepare(0);
-    sim::TpContext traced;
-    const auto out_traced = app->run(traced, app->uniform_config(kBinary32));
-    app->prepare(0);
-    sim::TpContext untraced{sim::TpContext::Config{.trace = false}};
-    const auto out_untraced = app->run(untraced, app->uniform_config(kBinary32));
-    ASSERT_EQ(out_traced.size(), out_untraced.size());
-    for (std::size_t i = 0; i < out_traced.size(); ++i) {
-        EXPECT_EQ(out_traced[i], out_untraced[i]) << i;
+    auto options = conformance_search_options();
+    options.static_bounds = true; // same signals, fewer trials
+    std::vector<std::pair<std::string, apps::TypeConfig>> bindings{
+        {"binary8", app->uniform_config(kBinary8)},
+        {"binary16", app->uniform_config(kBinary16)},
+        {"binary16alt", app->uniform_config(kBinary16Alt)},
+        {"binary32", app->uniform_config(kBinary32)},
+    };
+    {
+        const auto tuning_app = this->app();
+        bindings.emplace_back("tuned eps=1e-2",
+                              tuning::distributed_search(*tuning_app, options)
+                                  .type_config());
     }
-    EXPECT_FALSE(traced.take_program(false).instrs.empty());
+
+    const auto run_bits = [&app](sim::TpContext& ctx,
+                                 const apps::TypeConfig& config) {
+        app->prepare(0);
+        std::vector<std::uint64_t> bits;
+        for (const double v : app->run(ctx, config)) {
+            bits.push_back(std::bit_cast<std::uint64_t>(v));
+        }
+        return bits;
+    };
+    for (const auto& [label, config] : bindings) {
+        sim::TpContext untraced{sim::TpContext::Config{.trace = false}};
+        ASSERT_TRUE(untraced.compute_only());
+        const auto out_untraced = run_bits(untraced, config);
+
+        sim::TpContext traced;
+        const auto out_traced = run_bits(traced, config);
+        EXPECT_FALSE(traced.take_program(false).instrs.empty()) << label;
+
+        sim::TpContext counted{sim::TpContext::Config{.trace = false}};
+        thread_stats().reset();
+        thread_stats().set_enabled(true);
+        const bool counted_compute_only = counted.compute_only();
+        const auto out_counted = run_bits(counted, config);
+        const std::uint64_t ops_counted = thread_stats().total_arithmetic();
+        thread_stats().set_enabled(false);
+        thread_stats().reset();
+        EXPECT_FALSE(counted_compute_only) << label;
+        EXPECT_GT(ops_counted, 0u) << label;
+
+        sim::TpContext emulated{
+            sim::TpContext::Config{.trace = false, .force_emulated = true}};
+        const auto out_emulated = run_bits(emulated, config);
+
+        ASSERT_FALSE(out_untraced.empty()) << label;
+        EXPECT_EQ(out_untraced, out_traced) << label;
+        EXPECT_EQ(out_untraced, out_counted) << label;
+        EXPECT_EQ(out_untraced, out_emulated) << label;
+    }
 }
 
 TEST_P(AppConformanceTest, TraceSimulates) {

@@ -1,9 +1,13 @@
 #include "sim/context.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "flexfloat/stats.hpp"
 #include "sim/platform.hpp"
 #include "types/encoding.hpp"
 
@@ -93,6 +97,118 @@ TEST(Context, UntracedModeStillComputes) {
     arr.store(1, y);
     EXPECT_EQ(arr.raw(1), 2.25);
     EXPECT_TRUE(ctx.take_program(false).instrs.empty());
+}
+
+/// A small kernel touching every per-element entry point: constants,
+/// from_int, load, binary/unary/fma arithmetic, compares, casts, stores and
+/// loop overhead. Returns the bit patterns of every value it produced.
+std::vector<std::uint64_t> exercise_entry_points(TpContext& ctx) {
+    std::vector<std::uint64_t> bits;
+    const auto keep = [&bits](const tp::sim::TpValue& v) {
+        bits.push_back(std::bit_cast<std::uint64_t>(v.to_double()));
+    };
+    auto arr = ctx.make_array(tp::kBinary16, 4);
+    auto narrow = ctx.make_array(tp::kBinary8, 4);
+    for (std::size_t i = 0; i < 4; ++i) {
+        arr.set_raw(i, 0.3 * static_cast<double>(i + 1));
+    }
+    const auto k = ctx.constant(1.1, tp::kBinary16);
+    for (std::size_t i = 0; i < 4; ++i) {
+        ctx.loop_iteration();
+        const auto x = arr.load(i);
+        const auto n =
+            ctx.from_int(static_cast<std::int64_t>(i) + 3, tp::kBinary16);
+        const auto y = fma(x, k, n) / (x + k) - sqrt(abs(-x)) * n;
+        keep(x);
+        keep(n);
+        keep(y);
+        keep(y < x ? x : y);
+        keep(x <= y || x >= k || y > n ? k : y);
+        const auto z = y.cast_to(tp::kBinary8);
+        keep(z);
+        narrow.store(i, z);
+        arr.store(i, y);
+    }
+    for (std::size_t i = 0; i < 4; ++i) {
+        bits.push_back(std::bit_cast<std::uint64_t>(arr.raw(i)));
+        bits.push_back(std::bit_cast<std::uint64_t>(narrow.raw(i)));
+    }
+    return bits;
+}
+
+TEST(Context, UntracedContextIsComputeOnlyUnlessSomethingIsRecorded) {
+    EXPECT_TRUE(TpContext{TpContext::Config{.trace = false}}.compute_only());
+    EXPECT_FALSE(TpContext{}.compute_only());
+    EXPECT_FALSE((TpContext{TpContext::Config{.trace = false,
+                                              .force_emulated = true}}
+                      .compute_only()));
+    EXPECT_FALSE((TpContext{TpContext::Config{.trace = false,
+                                              .binary64_shadow = true}}
+                      .compute_only()));
+}
+
+TEST(Context, ForceEmulatedToggleOnLiveUntracedContextSwitchesPaths) {
+    TpContext reference{TpContext::Config{.trace = true}};
+    const auto expected = exercise_entry_points(reference);
+
+    TpContext ctx{TpContext::Config{.trace = false}};
+    ASSERT_TRUE(ctx.compute_only());
+    EXPECT_EQ(exercise_entry_points(ctx), expected);
+    ctx.set_force_emulated(true);
+    EXPECT_FALSE(ctx.compute_only());
+    EXPECT_TRUE(ctx.force_emulated());
+    EXPECT_EQ(exercise_entry_points(ctx), expected);
+    ctx.set_force_emulated(false);
+    EXPECT_TRUE(ctx.compute_only());
+    EXPECT_EQ(exercise_entry_points(ctx), expected);
+    EXPECT_TRUE(ctx.take_program(false).instrs.empty());
+}
+
+TEST(Context, UntracedContextRecordsStatsWhenEnabled) {
+    TpContext ctx{TpContext::Config{.trace = false}};
+    // Counts collected with stats on must not depend on tracing.
+    const auto collect = [](TpContext& c) {
+        tp::thread_stats().reset();
+        tp::thread_stats().set_enabled(true);
+        const auto bits = exercise_entry_points(c);
+        tp::thread_stats().set_enabled(false);
+        return std::pair{bits, tp::thread_stats().counts_for(tp::kBinary16)};
+    };
+    const auto [untraced_bits, untraced] = collect(ctx);
+    EXPECT_TRUE(ctx.compute_only()); // stats off again: back on the fast path
+    const std::uint64_t untraced_casts = tp::thread_stats().total_casts();
+    TpContext traced;
+    const auto [traced_bits, counted] = collect(traced);
+    const std::uint64_t traced_casts = tp::thread_stats().total_casts();
+    tp::thread_stats().reset();
+
+    EXPECT_EQ(untraced_bits, traced_bits);
+    EXPECT_EQ(untraced.total(tp::FpOp::Fma), 4u);
+    EXPECT_EQ(untraced.total(tp::FpOp::FromInt), 4u);
+    EXPECT_EQ(untraced.total(tp::FpOp::Sqrt), 4u);
+    EXPECT_GT(untraced.total(tp::FpOp::Cmp), 0u);
+    EXPECT_EQ(untraced_casts, 4u);
+    EXPECT_EQ(untraced_casts, traced_casts);
+    for (std::size_t op = 0; op < tp::kFpOpCount; ++op) {
+        EXPECT_EQ(untraced.scalar[op], counted.scalar[op]) << op;
+        EXPECT_EQ(untraced.vectorial[op], counted.vectorial[op]) << op;
+    }
+}
+
+TEST(Context, UntracedRunEmitsNoTraceAndAssignsNoIds) {
+    TpContext ctx{TpContext::Config{.trace = false}};
+    (void)exercise_entry_points(ctx);
+    const auto program = ctx.take_program(false);
+    EXPECT_TRUE(program.instrs.empty());
+    EXPECT_EQ(program.value_count, 0u);
+    EXPECT_TRUE(program.values.empty());
+    EXPECT_TRUE(program.output_taps.empty());
+
+    TpContext traced;
+    (void)exercise_entry_points(traced);
+    const auto traced_program = traced.take_program(false);
+    EXPECT_FALSE(traced_program.instrs.empty());
+    EXPECT_GT(traced_program.value_count, 0u);
 }
 
 TEST(Context, FromIntEmitsConversion) {

@@ -18,10 +18,12 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -511,6 +513,40 @@ TEST(ServiceScheduler, UnknownAppIsRejectedAtAdmission) {
     EXPECT_THROW((void)service.submit(Request{.work = CastAwareRequest{
                      "nonesuch", CastAwareOptions{}}}),
                  std::out_of_range);
+    EXPECT_EQ(service.engine_count(), 0u);
+    EXPECT_EQ(service.stats().trials, 0u);
+}
+
+TEST(ServiceScheduler, InvalidSearchOptionsAreRejectedAtAdmission) {
+    TuningService service;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<Request> bad;
+    bad.push_back(Request{.work = plain("pca", nan)});
+    bad.push_back(Request{.work = plain("pca", 0.0)});
+    bad.push_back(Request{.work = plain("pca", 1e-2, {})});
+    TuningRequest negative_passes = plain("pca", 1e-2);
+    negative_passes.options.max_passes = -1;
+    bad.push_back(Request{.work = negative_passes});
+    TuningRequest negative_rounds = plain("pca", 1e-2);
+    negative_rounds.options.max_refinement_rounds = -1;
+    bad.push_back(Request{.work = negative_rounds});
+    CastAwareOptions cast_options;
+    cast_options.search = fast_options();
+    cast_options.max_rounds = -1;
+    bad.push_back(Request{.work = CastAwareRequest{"pca", cast_options}});
+    cast_options.max_rounds = 4;
+    cast_options.search.epsilon = std::numeric_limits<double>::infinity();
+    bad.push_back(Request{.work = CastAwareRequest{"pca", cast_options}});
+    Request bad_sweep = sweep("pca");
+    std::get<SweepRequest>(bad_sweep.work).epsilons = {1e-3, nan};
+    bad.push_back(bad_sweep);
+
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_THROW((void)service.submit(bad[i]), std::invalid_argument)
+            << "request " << i;
+    }
+    // Refused before any ticket, engine or queue entry exists.
+    EXPECT_EQ(service.admission_stats(), tp::tuning::AdmissionStats{});
     EXPECT_EQ(service.engine_count(), 0u);
     EXPECT_EQ(service.stats().trials, 0u);
 }

@@ -1,11 +1,17 @@
 #include "tuning/search.hpp"
 
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/app.hpp"
+#include "tuning/cast_aware.hpp"
 #include "tuning/config_io.hpp"
 #include "tuning/eval_engine.hpp"
 #include "tuning/quality.hpp"
@@ -361,6 +367,84 @@ TEST(Search, EmptyInputSetsAreRejected) {
                      std::invalid_argument);
     }
     EXPECT_EQ(engine.stats(), tp::tuning::EvalStats{});
+}
+
+// Every search entry point refuses options that describe no search before
+// any trial runs. A NaN epsilon in particular used to spend the whole
+// trial budget (every error compares false against it) and return
+// binary32 without a word.
+TEST(Search, InvalidOptionsAreRejectedBeforeAnyWork) {
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    using Mutation = std::function<void(SearchOptions&)>;
+    const std::vector<std::pair<std::string, Mutation>> epsilon_cases{
+        {"nan", [](SearchOptions& o) { o.epsilon = kNaN; }},
+        {"+inf", [](SearchOptions& o) { o.epsilon = kInf; }},
+        {"-inf", [](SearchOptions& o) { o.epsilon = -kInf; }},
+        {"zero", [](SearchOptions& o) { o.epsilon = 0.0; }},
+        {"negative", [](SearchOptions& o) { o.epsilon = -1e-2; }},
+    };
+    const std::vector<std::pair<std::string, Mutation>> budget_cases{
+        {"max_passes", [](SearchOptions& o) { o.max_passes = -1; }},
+        {"max_refinement_rounds",
+         [](SearchOptions& o) { o.max_refinement_rounds = -1; }},
+        {"input_sets", [](SearchOptions& o) { o.input_sets.clear(); }},
+    };
+
+    auto app = tp::apps::make_app("dwt");
+    tp::tuning::EvalEngine engine{
+        *app, tp::tuning::EvalEngine::Options{.threads = 1, .memoize = true}};
+    const auto expect_rejected = [&](const SearchOptions& options,
+                                     const std::vector<double>& sweep,
+                                     const std::string& label) {
+        EXPECT_THROW(tp::tuning::validate(options), std::invalid_argument)
+            << label;
+        EXPECT_THROW((void)distributed_search(engine, options),
+                     std::invalid_argument)
+            << label;
+        EXPECT_THROW((void)sweep_search(engine, options, sweep),
+                     std::invalid_argument)
+            << label;
+        tp::tuning::CastAwareOptions cast_options;
+        cast_options.search = options;
+        EXPECT_THROW((void)tp::tuning::cast_aware_search(engine, cast_options),
+                     std::invalid_argument)
+            << label;
+    };
+    for (const auto& [label, mutate] : epsilon_cases) {
+        SearchOptions options = fast_options(1e-2, tp::TypeSystemKind::V2);
+        mutate(options);
+        // A sweep ignores base.epsilon and checks each swept one instead.
+        expect_rejected(options, {1e-2, options.epsilon}, "epsilon " + label);
+        SearchOptions valid_base = fast_options(1e-2, tp::TypeSystemKind::V2);
+        EXPECT_THROW(
+            (void)sweep_search(engine, valid_base, {1e-3, options.epsilon}),
+            std::invalid_argument)
+            << label;
+    }
+    for (const auto& [label, mutate] : budget_cases) {
+        SearchOptions options = fast_options(1e-2, tp::TypeSystemKind::V2);
+        mutate(options);
+        expect_rejected(options, {1e-2}, label);
+    }
+    tp::tuning::CastAwareOptions negative_rounds;
+    negative_rounds.search = fast_options(1e-2, tp::TypeSystemKind::V2);
+    negative_rounds.max_rounds = -1;
+    EXPECT_THROW(tp::tuning::validate(negative_rounds), std::invalid_argument);
+    EXPECT_THROW((void)tp::tuning::cast_aware_search(engine, negative_rounds),
+                 std::invalid_argument);
+    EXPECT_THROW((void)tp::tuning::cast_aware_search(*app, negative_rounds),
+                 std::invalid_argument);
+    EXPECT_EQ(engine.stats(), tp::tuning::EvalStats{});
+
+    // The boundaries stay accepted: zero budgets are legal searches.
+    SearchOptions zero_budgets = fast_options(1e-2, tp::TypeSystemKind::V2);
+    zero_budgets.max_passes = 0;
+    zero_budgets.max_refinement_rounds = 0;
+    EXPECT_NO_THROW(tp::tuning::validate(zero_budgets));
+    tp::tuning::CastAwareOptions zero_rounds;
+    zero_rounds.max_rounds = 0;
+    EXPECT_NO_THROW(tp::tuning::validate(zero_rounds));
 }
 
 // A warm start seeded from a result at the SAME requirement can only
